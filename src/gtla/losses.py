@@ -14,9 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grouping import GroupSpec
-from .priors import GroupPrior, TemporalPrior, temporal_factor_matrix
-
-PRIOR_CLAMP = 1e-6
+from .priors import PRIOR_CLAMP, GroupPrior, TemporalPrior, temporal_factor_matrix
 
 METHODS = ("ce", "la", "gtla")
 

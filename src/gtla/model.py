@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,9 @@ class BackboneConfig:
                               seed=int(payload["seed"]))
 
 
-def _param_shapes(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...]]]:
+@lru_cache(maxsize=16)
+def _layout(cfg: BackboneConfig) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+    """Name, shape and flat-buffer slice of every parameter tensor, in order."""
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("in.w", (cfg.hidden, cfg.in_dim)),
         ("in.b", (cfg.hidden,)),
@@ -68,21 +71,38 @@ def _param_shapes(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...]]]:
         ]
     for i, size in enumerate(cfg.head_sizes):
         shapes += [(f"head{i}.w", (cfg.hidden, size)), (f"head{i}.b", (size,))]
-    return shapes
+    ends = np.cumsum([np.prod(shape) for _, shape in shapes])
+    return tuple((n, s, slice(end - np.prod(s), end)) for (n, s), end in zip(shapes, ends))
+
+
+class FlatTensors(dict):
+    """Named views into one contiguous float64 buffer ``flat``; assign into a
+    view (``t[name][...] = x``), since rebinding a name detaches it."""
+
+    def __init__(self, cfg: BackboneConfig, tensors: dict[str, np.ndarray] | None = None):
+        self.layout = _layout(cfg)
+        self.flat = np.zeros(self.layout[-1][2].stop)
+        super().__init__((name, self.flat[span].reshape(shape))
+                         for name, shape, span in self.layout)
+        for name, view in self.items() if tensors is not None else ():
+            view[...] = np.reshape(tensors[name], view.shape)
 
 
 @dataclass
 class ModelParams:
-    """Parameter tensors keyed by name, plus the config they belong to."""
+    """Parameter tensors keyed by name (copied into FlatTensors), plus their config."""
 
     cfg: BackboneConfig
     values: dict[str, np.ndarray]
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.values.items()}
+    def __post_init__(self):
+        self.values = FlatTensors(self.cfg, self.values)
+
+    def zero_grads(self) -> FlatTensors:
+        return FlatTensors(self.cfg)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, {k: v.copy() for k, v in self.values.items()})
+        return ModelParams(self.cfg, self.values)
 
 
 def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> ModelParams:
@@ -91,7 +111,7 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> 
     fan_in = {"in": cfg.in_dim, "dilated": 3 * cfg.hidden, "proj": cfg.hidden,
               "head": cfg.hidden}
     values = {}
-    for name, shape in _param_shapes(cfg):
+    for name, shape, _ in _layout(cfg):
         kind = name.split(".")[-2]
         kind = "head" if kind.startswith("head") else kind
         bound = 1.0 / np.sqrt(fan_in.get(kind, cfg.hidden))
@@ -99,20 +119,18 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> 
     return ModelParams(cfg, values)
 
 
-def _dilated_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    # x: C_in x T, w: C_out x C_in x 3, same padding with zeros
-    num_frames = x.shape[1]
-    padded = np.pad(x, ((0, 0), (d, d)))
+def _dilated_conv(padded: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    # padded: C_in x (T + 2d) input with d zero frames each side, w: C_out x C_in x 3
+    num_frames = padded.shape[1] - 2 * d
     out = (w[:, :, 0] @ padded[:, :num_frames]
            + w[:, :, 1] @ padded[:, d:d + num_frames]
            + w[:, :, 2] @ padded[:, 2 * d:2 * d + num_frames])
     return out + b[:, None]
 
 
-def _dilated_conv_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray,
+def _dilated_conv_backward(padded: np.ndarray, w: np.ndarray, d_out: np.ndarray,
                            d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    num_frames = x.shape[1]
-    padded = np.pad(x, ((0, 0), (d, d)))
+    num_frames = padded.shape[1] - 2 * d
     d_w = np.empty_like(w)
     d_w[:, :, 0] = d_out @ padded[:, :num_frames].T
     d_w[:, :, 1] = d_out @ padded[:, d:d + num_frames].T
@@ -131,7 +149,7 @@ class Tape:
 
     params: ModelParams
     x: np.ndarray
-    layer_inputs: list[np.ndarray]
+    layer_inputs: list[np.ndarray]  # zero-padded by the layer's dilation
     layer_pre: list[np.ndarray]
     layer_masks: list[np.ndarray | None]
     z: np.ndarray
@@ -163,12 +181,14 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
         raise ValueError("train mode with dropout needs a dropout_rng")
 
     p = params.values
-    z = p["in.w"] @ x + p["in.b"][:, None]
-    layer_inputs, layer_pre, layer_masks = [], [], []
-    for layer in range(cfg.num_layers):
-        d = 2 ** layer
-        layer_inputs.append(z)
-        pre = _dilated_conv(z, p[f"layer{layer}.dilated.w"],
+    # Each layer input is written once, into the middle of its zero-padded buffer.
+    pads = [2 ** layer for layer in range(cfg.num_layers)]
+    layer_inputs = [np.zeros((cfg.hidden, x.shape[1] + 2 * d)) for d in pads]
+    inner = [buf[:, d:-d] for d, buf in zip(pads, layer_inputs)] + [None]
+    z = np.add(p["in.w"] @ x, p["in.b"][:, None], out=inner[0])
+    layer_pre, layer_masks = [], []
+    for layer, d in enumerate(pads):
+        pre = _dilated_conv(layer_inputs[layer], p[f"layer{layer}.dilated.w"],
                             p[f"layer{layer}.dilated.b"], d)
         layer_pre.append(pre)
         branch = p[f"layer{layer}.proj.w"] @ np.maximum(pre, 0.0) \
@@ -180,7 +200,7 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
         else:
             mask = None
         layer_masks.append(mask)
-        z = z + branch
+        z = np.add(z, branch, out=inner[layer + 1])
 
     logits = [p[f"head{i}.w"].T @ z + p[f"head{i}.b"][:, None]
               for i in range(len(cfg.head_sizes))]
@@ -188,18 +208,18 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     return Forward(z, logits, tape)
 
 
-def backward(tape: Tape, d_logits: list[np.ndarray]) -> dict[str, np.ndarray]:
+def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
     """Propagate loss gradients w.r.t. the logits back to every parameter."""
     cfg = tape.params.cfg
     p = tape.params.values
     if len(d_logits) != len(cfg.head_sizes):
         raise ValueError("one upstream gradient per group head required")
-    grads = {name: np.zeros_like(arr) for name, arr in tape.params.values.items()}
+    grads = FlatTensors(cfg)
 
     d_z = np.zeros_like(tape.z)
     for i, d_l in enumerate(d_logits):
-        grads[f"head{i}.w"] = tape.z @ d_l.T
-        grads[f"head{i}.b"] = d_l.sum(axis=1)
+        grads[f"head{i}.w"][...] = tape.z @ d_l.T
+        grads[f"head{i}.b"][...] = d_l.sum(axis=1)
         d_z += p[f"head{i}.w"] @ d_l
 
     for layer in reversed(range(cfg.num_layers)):
@@ -207,19 +227,19 @@ def backward(tape: Tape, d_logits: list[np.ndarray]) -> dict[str, np.ndarray]:
         mask = tape.layer_masks[layer]
         d_branch = d_z if mask is None else d_z * mask
         relu_out = np.maximum(tape.layer_pre[layer], 0.0)
-        grads[f"layer{layer}.proj.w"] = d_branch @ relu_out.T
-        grads[f"layer{layer}.proj.b"] = d_branch.sum(axis=1)
+        grads[f"layer{layer}.proj.w"][...] = d_branch @ relu_out.T
+        grads[f"layer{layer}.proj.b"][...] = d_branch.sum(axis=1)
         d_relu = p[f"layer{layer}.proj.w"].T @ d_branch
         d_pre = d_relu * (tape.layer_pre[layer] > 0.0)
         d_w, d_b, d_in = _dilated_conv_backward(tape.layer_inputs[layer],
                                                 p[f"layer{layer}.dilated.w"],
                                                 d_pre, d)
-        grads[f"layer{layer}.dilated.w"] = d_w
-        grads[f"layer{layer}.dilated.b"] = d_b
+        grads[f"layer{layer}.dilated.w"][...] = d_w
+        grads[f"layer{layer}.dilated.b"][...] = d_b
         d_z = d_z + d_in
 
-    grads["in.w"] = d_z @ tape.x.T
-    grads["in.b"] = d_z.sum(axis=1)
+    grads["in.w"][...] = d_z @ tape.x.T
+    grads["in.b"][...] = d_z.sum(axis=1)
     return grads
 
 
@@ -228,25 +248,34 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    _scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float = 5e-4, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One Adam update, in place."""
-    if not state.m:
-        state.m = params.zero_grads()
-        state.v = params.zero_grads()
+    """One Adam update, in place over the flat buffers (moments are adopted into
+    FlatTensors), per element in the order m = b1*m + (1-b1)*g,
+    v = b2*v + ((1-b2)*g)*g, p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
+    layout = params.values.layout
+    if getattr(grads, "layout", None) is not layout:
+        grads = FlatTensors(params.cfg, grads)
+    g = grads.flat
+    if not np.isfinite(g).all():
+        name = next(n for n, arr in grads.items() if not np.isfinite(arr).all())
+        raise TrainingError(f"non-finite gradient in {name!r} at step {state.t + 1}")
+    if getattr(state.m, "layout", None) is not layout:  # fresh, or loaded from a checkpoint
+        state.m = FlatTensors(params.cfg, state.m or None)
+        state.v = FlatTensors(params.cfg, state.v or None)
+        state._scratch = np.empty((2, g.size))
     state.t += 1
-    for name, value in params.values.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name!r} at step {state.t}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** state.t)
-        v_hat = state.v[name] / (1.0 - beta2 ** state.t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, (a, b) = state.m.flat, state.v.flat, state._scratch
+    np.add(np.multiply(m, beta1, out=m), np.multiply(g, 1.0 - beta1, out=a), out=m)
+    np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+    np.add(np.multiply(v, beta2, out=v), a, out=v)
+    np.multiply(np.divide(m, 1.0 - beta1 ** state.t, out=a), lr, out=a)
+    np.add(np.sqrt(np.divide(v, 1.0 - beta2 ** state.t, out=b), out=b), eps, out=b)
+    params.values.flat -= np.divide(a, b, out=a)
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
@@ -292,21 +321,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
     blob = Path(path).read_bytes()
     if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
-    head_len = struct.unpack("<I", blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4])[0]
-    body_start = len(CHECKPOINT_MAGIC) + 4 + head_len
-    header = json.loads(blob[len(CHECKPOINT_MAGIC) + 4:body_start].decode("utf-8"))
+    head_start = len(CHECKPOINT_MAGIC) + 4
+    # A cut length field still decodes; the body start then lies past EOF.
+    body_start = head_start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):head_start], "little")
+    if len(blob) < body_start:
+        raise FormatError(f"{path}: truncated header")
+    header = json.loads(blob[head_start:body_start].decode("utf-8"))
     cfg = BackboneConfig.from_dict(header["config"])
 
     arrays = {}
     for spec in header["tensors"]:
         size = int(np.prod(spec["shape"])) if spec["shape"] else 1
         start = body_start + spec["offset"]
-        flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
-        if flat.size != size:
+        if len(blob) < start + 4 * size:
             raise FormatError(f"{path}: truncated tensor {spec['name']!r}")
+        flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
         arrays[spec["name"]] = flat.reshape(spec["shape"]).astype(np.float64)
 
-    values = {name: arrays[name] for name, _ in _param_shapes(cfg)}
     adam = AdamState(t=int(header.get("adam_t", 0)))
     if any(name.startswith("adam.m.") for name in arrays):
         adam.m = {name[len("adam.m."):]: arr for name, arr in arrays.items()
@@ -314,8 +345,5 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
         adam.v = {name[len("adam.v."):]: arr for name, arr in arrays.items()
                   if name.startswith("adam.v.")}
     header["extra"]["step"] = header.get("step", 0)
-    return ModelParams(cfg, values), adam, header["extra"]
+    return ModelParams(cfg, arrays), adam, header["extra"]
 
-
-def with_seed(cfg: BackboneConfig, seed: int) -> BackboneConfig:
-    return replace(cfg, seed=seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,13 +32,18 @@ class GroupPrior:
     prior: np.ndarray  # length = number of real classes, sums to 1
     must_precede: tuple[frozenset[int], ...]
     must_follow: tuple[frozenset[int], ...]
+    # [0, c, x]: x must precede c; [1, c, x]: x must follow c
+    order_tables: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        tables = np.zeros((2, self.num_classes, self.num_classes), dtype=bool)
         for c, (bf, af) in enumerate(zip(self.must_precede, self.must_follow)):
             if bf & af:
                 raise ValueError(f"class {c}: precede/follow sets overlap")
             if c in bf or c in af:
                 raise ValueError(f"class {c}: ordering set contains the class itself")
+            tables[0, c, list(bf)] = tables[1, c, list(af)] = True
+        object.__setattr__(self, "order_tables", tables)
 
     @property
     def num_classes(self) -> int:
@@ -135,12 +140,10 @@ def temporal_bounds(c: int, labels: np.ndarray, prior: GroupPrior) -> tuple[int,
 
 
 def bounds_matrix(labels: np.ndarray, prior: GroupPrior) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class lower/upper adjustment bounds for one sequence."""
-    num = prior.num_classes
-    lo = np.empty(num, dtype=np.int64)
-    hi = np.empty(num, dtype=np.int64)
-    for c in range(num):
-        lo[c], hi[c] = temporal_bounds(c, labels, prior)
+    """Per-class lower/upper adjustment bounds: :func:`temporal_bounds` for all classes."""
+    t = np.arange(len(labels))
+    lo = np.where(prior.order_tables[0][:, labels], t, 0).max(axis=1, initial=0)
+    hi = np.where(prior.order_tables[1][:, labels], t, t.size).min(axis=1, initial=t.size)
     return lo, hi
 
 

@@ -13,10 +13,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
-from .errors import ConfigError, FormatError, GtlaError
+from .data.io import read_json
+from .errors import ConfigError, GtlaError
 
 
 def _check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
@@ -27,16 +29,32 @@ def _check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
 
 def _load_json(path: str | Path, ctx: str) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"{ctx}: file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{ctx}: invalid JSON in {path}: {exc}")
-    if not isinstance(payload, dict):
-        raise FormatError(f"{ctx}: expected a JSON object in {path}")
     if payload.get("version") != 1:
         raise ConfigError(f"{ctx}: unsupported or missing config version")
     return payload
+
+
+# Config-file spellings of the dataclass fields that are not spelled as-is.
+_JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
+
+
+def _from_json(cls, payload: dict, ctx: str, **given):
+    """Build ``cls`` from a config section: every defaulted field not in
+    ``given`` may appear (under its ``_JSON_NAMES`` spelling), is converted to
+    its default's type, and keeps the default when omitted."""
+    names = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)
+             if f.default is not MISSING and f.name not in given}
+    _check_keys(payload, set(names), ctx)
+    for key, value in payload.items():
+        f = names[key]
+        try:
+            given[f.name] = type(f.default)(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
+    return cls(**given)
 
 
 def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering:
@@ -51,10 +69,10 @@ def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering
 
 
 def _synth_config_from_json(payload: dict, seed: int | None) -> data.SynthConfig:
-    _check_keys(payload, {"version", "seed", "feature_dim", "mean_scale",
-                          "noise_sigma", "similar_classes", "similar_spread",
-                          "train_per_activity", "test_per_activity",
-                          "durations", "activities"}, "synth config")
+    scalars = {k: v for k, v in payload.items()
+               if k not in ("version", "activities", "durations", "similar_classes")}
+    if seed is not None:
+        scalars["seed"] = seed
     activities = {}
     for name, spec in payload["activities"].items():
         _check_keys(spec, {"mandatory", "optionals"}, f"activity {name!r}")
@@ -67,18 +85,9 @@ def _synth_config_from_json(payload: dict, seed: int | None) -> data.SynthConfig
         _check_keys(spec, {"median", "sigma"}, f"duration {name!r}")
         durations[name] = data.DurationModel(float(spec["median"]),
                                              float(spec.get("sigma", 0.0)))
-    return data.SynthConfig(
-        activities=activities,
-        durations=durations,
-        feature_dim=int(payload.get("feature_dim", 8)),
-        mean_scale=float(payload.get("mean_scale", 1.0)),
-        noise_sigma=float(payload.get("noise_sigma", 1.0)),
-        similar_classes=tuple(tuple(f) for f in payload.get("similar_classes", ())),
-        similar_spread=float(payload.get("similar_spread", 0.3)),
-        train_per_activity=int(payload.get("train_per_activity", 20)),
-        test_per_activity=int(payload.get("test_per_activity", 10)),
-        seed=int(payload.get("seed", 0)) if seed is None else seed,
-    )
+    similar = tuple(tuple(f) for f in payload.get("similar_classes", ()))
+    return _from_json(data.SynthConfig, scalars, "synth config", activities=activities,
+                      durations=durations, similar_classes=similar)
 
 
 def cmd_synth(args) -> int:
@@ -119,37 +128,6 @@ def cmd_priors(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = {"method", "tau", "eta", "lambda", "delta", "temporal_factor",
-               "epochs", "lr"}
-
-
-def _train_config_from_json(payload: dict, args) -> losses.TrainConfig:
-    _check_keys(payload, _TRAIN_KEYS, "train section")
-    cfg = dict(
-        method=payload.get("method", "gtla"),
-        tau=float(payload.get("tau", 0.5)),
-        eta=float(payload.get("eta", 0.5)),
-        smooth_weight=float(payload.get("lambda", 0.15)),
-        smooth_clip=float(payload.get("delta", 4.0)),
-        temporal_factor=bool(payload.get("temporal_factor", True)),
-        epochs=int(payload.get("epochs", 50)),
-        lr=float(payload.get("lr", 5e-4)),
-    )
-    if args.method:
-        cfg["method"] = args.method
-    if args.tau is not None:
-        cfg["tau"] = args.tau
-    if args.eta is not None:
-        cfg["eta"] = args.eta
-    if args.smooth_weight is not None:
-        cfg["smooth_weight"] = args.smooth_weight
-    if args.no_temporal_factor:
-        cfg["temporal_factor"] = False
-    if args.epochs is not None:
-        cfg["epochs"] = args.epochs
-    return losses.TrainConfig(seed=args.seed if args.seed is not None else 0, **cfg)
-
-
 def cmd_train(args) -> int:
     payload = _load_json(args.config, "run config")
     _check_keys(payload, {"version", "seed", "data", "groups", "backbone",
@@ -164,8 +142,11 @@ def cmd_train(args) -> int:
     if args.seed is None and "seed" not in payload:
         raise ConfigError("run config: a seed is required (field or --seed)")
     seed = args.seed if args.seed is not None else int(payload["seed"])
-    args.seed = seed
-    train_cfg = _train_config_from_json(payload.get("train", {}), args)
+    train_cfg = _from_json(losses.TrainConfig, payload.get("train", {}), "train section",
+                           seed=seed)
+    train_cfg = replace(train_cfg, **{f.name: getattr(args, f.name)
+                                      for f in fields(train_cfg)
+                                      if getattr(args, f.name, None) is not None})
 
     out = Path(args.out or payload.get("out") or "run")
     out.mkdir(parents=True, exist_ok=True)
@@ -197,19 +178,15 @@ def cmd_train(args) -> int:
         prior = priors.extract_priors(corpus, spec)
         priors.save_temporal_prior(out / "priors.json", prior, spec, corpus.vocab)
 
-    backbone_section = payload.get("backbone", {})
-    _check_keys(backbone_section, {"hidden", "layers", "dropout"}, "backbone section")
-    backbone = model.BackboneConfig(
-        in_dim=corpus.feature_dim,
-        hidden=int(backbone_section.get("hidden", 32)),
-        num_layers=int(backbone_section.get("layers", 6)),
-        dropout=float(backbone_section.get("dropout", 0.25)),
-        head_sizes=spec.head_sizes(),
-        seed=seed,
-    )
+    backbone = _from_json(model.BackboneConfig, payload.get("backbone", {}),
+                          "backbone section", in_dim=corpus.feature_dim,
+                          head_sizes=spec.head_sizes(), seed=seed)
 
     if args.resume:
         params, adam, extra = model.load_checkpoint(args.resume)
+        if params.cfg != backbone:
+            raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
+                              f"from the run config's {backbone}")
         state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
     else:
         state = training.init_train_state(train_cfg, backbone)
@@ -235,8 +212,7 @@ def cmd_eval(args) -> int:
     prior = priors.load_temporal_prior(args.priors, spec, dataset.vocab)
     params, _, _ = model.load_checkpoint(args.checkpoint)
 
-    predictions = inference.predict_corpus(params, dataset, spec,
-                                           threads=args.threads)
+    predictions = inference.predict_corpus(params, dataset, spec)
     gt_groups = []
     for seq in dataset.sequences:
         if spec.mode == "activity":
@@ -352,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--lambda", dest="smooth_weight", type=float)
-    p.add_argument("--no-temporal-factor", action="store_true")
     p.add_argument("--groups", help="override grouping: activity or cluster:N")
     p.add_argument("--epochs", type=int)
     p.add_argument("--resume", help="checkpoint to continue from")
@@ -369,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training frame count separating head from tail")
     p.add_argument("--exclude", nargs="*", help="class names to exclude "
                    "from per-class averages")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -241,13 +241,21 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+def read_json(path: str | Path) -> dict:
+    """Parse a file holding one JSON object; anything else raises FormatError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return payload
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus described by a manifest written by :func:`write_corpus`."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path)
     for key in ("mapping", "feature_dim", "sequences"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing manifest key {key!r}")

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq
+from .data.io import read_json
 from .errors import ConfigError, FormatError
 
 KL_FLOOR = 1e-8
@@ -266,5 +267,4 @@ def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> Non
 
 
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
-    return group_spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")),
-                                vocab)
+    return group_spec_from_dict(read_json(path), vocab)

@@ -9,7 +9,6 @@ post-processing are applied at inference time.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,25 +63,13 @@ def predict_sequence(features, params: ModelParams, spec: GroupSpec,
     return Prediction(seq_id, k, labels, probs, others)
 
 
-def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec,
-                   threads: int = 1) -> list[Prediction]:
-    """Eval-mode predictions for every sequence, in corpus order.
-
-    Sequences are independent, so the work may be spread over threads; the
-    output is identical for any thread count.
-    """
+def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:
+    """Eval-mode predictions for every sequence, in corpus order."""
     if dataset.feature_dim != params.cfg.in_dim:
         raise ValueError(f"corpus features have dim {dataset.feature_dim}, "
                          f"model expects {params.cfg.in_dim}")
-
-    def run(item):
-        seq, feats = item
-        return predict_sequence(feats, params, spec, seq_id=seq.id)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, dataset))
-    return [run(item) for item in dataset]
+    return [predict_sequence(feats, params, spec, seq_id=seq.id)
+            for seq, feats in dataset]
 
 
 def write_predictions(predictions: list[Prediction], vocab: ClassVocab,

@@ -8,7 +8,7 @@ decodes unadjusted probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class TrainConfig:
     eta: float = 0.5
     smooth_weight: float = 0.15
     smooth_clip: float = 4.0
-    temporal_factor: bool = True
     epochs: int = 50
     lr: float = 5e-4
     seed: int = 0
@@ -40,14 +39,7 @@ class TrainConfig:
             raise ConfigError("smooth_clip must be > 0")
 
     def to_dict(self) -> dict:
-        return {"method": self.method, "tau": self.tau, "eta": self.eta,
-                "smooth_weight": self.smooth_weight, "smooth_clip": self.smooth_clip,
-                "temporal_factor": self.temporal_factor, "epochs": self.epochs,
-                "lr": self.lr, "seed": self.seed}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TrainConfig":
-        return TrainConfig(**payload)
+        return asdict(self)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -141,10 +133,9 @@ def gtla_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: GroupS
     group_prior = prior.groups[k]
     if cfg.method == "ce":
         target = logits[k]
-    else:
-        use_tf = cfg.method == "gtla" and cfg.temporal_factor
+    else:  # "la" is G-TLA without the temporal factor
         target = gtla_adjust(logits[k], labels, group_prior, cfg.tau,
-                             temporal_factor=use_tf)
+                             temporal_factor=cfg.method == "gtla")
     alpha = spec.group_weights[k]
     loss, grad_k = ce_loss(target, labels)
     loss *= alpha

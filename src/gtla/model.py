@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,18 +41,11 @@ class BackboneConfig:
             raise ConfigError("every group head needs at least 2 classes")
 
     def to_dict(self) -> dict:
-        return {"in_dim": self.in_dim, "hidden": self.hidden,
-                "num_layers": self.num_layers, "dropout": self.dropout,
-                "head_sizes": list(self.head_sizes), "seed": self.seed}
+        return asdict(self)
 
     @staticmethod
     def from_dict(payload: dict) -> "BackboneConfig":
-        return BackboneConfig(in_dim=int(payload["in_dim"]),
-                              hidden=int(payload["hidden"]),
-                              num_layers=int(payload["num_layers"]),
-                              dropout=float(payload["dropout"]),
-                              head_sizes=tuple(int(h) for h in payload["head_sizes"]),
-                              seed=int(payload["seed"]))
+        return BackboneConfig(**{**payload, "head_sizes": tuple(payload["head_sizes"])})
 
 
 @lru_cache(maxsize=16)
@@ -326,24 +319,27 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
     body_start = head_start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):head_start], "little")
     if len(blob) < body_start:
         raise FormatError(f"{path}: truncated header")
-    header = json.loads(blob[head_start:body_start].decode("utf-8"))
-    cfg = BackboneConfig.from_dict(header["config"])
-
-    arrays = {}
-    for spec in header["tensors"]:
-        size = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        start = body_start + spec["offset"]
-        if len(blob) < start + 4 * size:
-            raise FormatError(f"{path}: truncated tensor {spec['name']!r}")
-        flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
-        arrays[spec["name"]] = flat.reshape(spec["shape"]).astype(np.float64)
-
-    adam = AdamState(t=int(header.get("adam_t", 0)))
+    try:
+        header = json.loads(blob[head_start:body_start].decode("utf-8"))
+        cfg = BackboneConfig.from_dict(header["config"])
+        arrays = {}
+        for spec in header["tensors"]:
+            size = int(np.prod(spec["shape"])) if spec["shape"] else 1
+            start = body_start + spec["offset"]
+            if len(blob) < start + 4 * size:
+                raise FormatError(f"{path}: truncated tensor {spec['name']!r}")
+            flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
+            arrays[spec["name"]] = flat.reshape(spec["shape"]).astype(np.float64)
+        params = ModelParams(cfg, arrays)
+        adam = AdamState(t=int(header.get("adam_t", 0)))
+        extra = {**header["extra"], "step": header.get("step", 0)}
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise FormatError(f"{path}: invalid checkpoint header "
+                          f"({type(exc).__name__}: {exc})") from exc
     if any(name.startswith("adam.m.") for name in arrays):
         adam.m = {name[len("adam.m."):]: arr for name, arr in arrays.items()
                   if name.startswith("adam.m.")}
         adam.v = {name[len("adam.v."):]: arr for name, arr in arrays.items()
                   if name.startswith("adam.v.")}
-    header["extra"]["step"] = header.get("step", 0)
-    return ModelParams(cfg, arrays), adam, header["extra"]
+    return params, adam, extra
 

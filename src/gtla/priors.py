@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
+from .data.io import read_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -220,5 +221,4 @@ def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
 
 def load_temporal_prior(path: str | Path, spec: GroupSpec,
                         vocab: ClassVocab) -> TemporalPrior:
-    return temporal_prior_from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")), spec, vocab)
+    return temporal_prior_from_dict(read_json(path), spec, vocab)

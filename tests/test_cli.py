@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from gtla import cli
+from gtla import cli, losses, model
 
 
 def run(argv):
@@ -176,14 +176,13 @@ class TestTrainEvalReport:
         run_cfg = out / "run.json"
         assert run(["train", "--config", str(run_cfg), "--out", str(out / "run2"),
                     "--method", "la", "--tau", "0.3", "--eta", "0.1",
-                    "--lambda", "0.1", "--no-temporal-factor", "--epochs", "1",
+                    "--lambda", "0.1", "--epochs", "1",
                     "--seed", "9"]) == 0
         log = json.loads((out / "run2" / "train_log.json").read_text())
         assert log["train_config"]["method"] == "la"
         assert log["train_config"]["tau"] == 0.3
         assert log["train_config"]["eta"] == 0.1
         assert log["train_config"]["smooth_weight"] == 0.1
-        assert log["train_config"]["temporal_factor"] is False
 
     def test_run_config_unknown_key_rejected(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -194,18 +193,17 @@ class TestTrainEvalReport:
         assert run(["train", "--config", str(bad), "--out", str(out / "r2")]) == 1
         assert "tua" in capsys.readouterr().err
 
-    def test_eval_threads_match_single(self, tmp_path):
+    def test_resume_rejects_other_backbone(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)
-        args = ["eval", "--checkpoint", str(out / "run" / "checkpoint.ckpt"),
-                "--data", str(out / "corpus" / "test" / "manifest.json"),
-                "--train-data", str(out / "corpus" / "train" / "manifest.json"),
-                "--spec", str(out / "spec.json"),
-                "--priors", str(out / "priors.json"),
-                "--head-threshold", "40"]
-        assert run(args + ["--out", str(out / "e1"), "--threads", "1"]) == 0
-        assert run(args + ["--out", str(out / "e4"), "--threads", "4"]) == 0
-        assert (out / "e1" / "report.json").read_bytes() == \
-            (out / "e4" / "report.json").read_bytes()
+        payload = json.loads((out / "run.json").read_text())
+        payload["backbone"] = {"hidden": 16, "layers": 3}
+        (out / "bigger.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "bigger.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(out / "run" / "checkpoint.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resume") and err.count("\n") == 1
+        assert not (out / "r2" / "checkpoint.ckpt").exists()
 
     def test_resume_flag(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=2)
@@ -214,3 +212,50 @@ class TestTrainEvalReport:
                     "--resume", str(out / "run" / "checkpoint.ckpt")]) == 0
         log = json.loads((out / "more" / "train_log.json").read_text())
         assert len(log["loss"]) == 3  # two restored + one new epoch
+
+
+class TestRunConfigSchema:
+    """Run-config sections are parsed from the config dataclasses' fields."""
+
+    def train_with(self, tmp_path, edit):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        payload = json.loads((out / "run.json").read_text())
+        edit(payload)
+        (out / "edited.json").write_text(json.dumps(payload))
+        code = run(["train", "--config", str(out / "edited.json"), "--out", str(out / "r")])
+        return code, out / "r"
+
+    def test_empty_train_section_logs_dataclass_defaults(self, tmp_path):
+        def edit(payload):
+            payload["train"] = {}
+        code, out = self.train_with(tmp_path, edit)
+        assert code == 0
+        log = json.loads((out / "train_log.json").read_text())
+        assert log["train_config"] == losses.TrainConfig(seed=1).to_dict()
+
+    def test_json_spellings_land_in_fields(self, tmp_path):
+        def edit(payload):
+            payload["train"].update({"lambda": 0.2, "delta": 3.0, "epochs": 1})
+            payload["backbone"]["layers"] = 3
+        code, out = self.train_with(tmp_path, edit)
+        assert code == 0
+        logged = json.loads((out / "train_log.json").read_text())["train_config"]
+        assert logged["smooth_weight"] == 0.2 and logged["smooth_clip"] == 3.0
+        params, _, _ = model.load_checkpoint(out / "checkpoint.ckpt")
+        assert params.cfg.num_layers == 3
+
+    def test_field_spelling_rejected(self, tmp_path, capsys):
+        def edit(payload):
+            payload["train"]["smooth_weight"] = 0.2
+        code, _ = self.train_with(tmp_path, edit)
+        assert code == 1
+        assert "smooth_weight" in capsys.readouterr().err
+
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys):
+        def edit(payload):
+            payload["train"]["tau"] = "high"
+        code, _ = self.train_with(tmp_path, edit)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train section") and "tau" in err
+        assert err.count("\n") == 1

@@ -117,14 +117,6 @@ class TestPredictCorpus:
             assert np.array_equal(pa.labels, pb.labels)
             assert np.array_equal(pa.probs, pb.probs)
 
-    def test_threads_do_not_change_output(self, rng):
-        corpus, spec, prior, params = tiny_problem(rng)
-        a = gtla.predict_corpus(params, corpus, spec, threads=1)
-        b = gtla.predict_corpus(params, corpus, spec, threads=4)
-        for pa, pb in zip(a, b):
-            assert pa.seq_id == pb.seq_id
-            assert np.array_equal(pa.labels, pb.labels)
-
     def test_dim_mismatch_rejected(self, rng):
         corpus, spec, prior, params = tiny_problem(rng)
         bad = gtla.BackboneConfig(in_dim=corpus.feature_dim + 1, hidden=4,

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import gtla
-from gtla import losses, model
-from gtla.errors import TrainingError
+from gtla import grouping, losses, model, priors
+from gtla.errors import FormatError, TrainingError
 
 from conftest import finite_difference, max_relative_error, tiny_problem
 
@@ -202,3 +204,51 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(b"NOTACKPT" + b"\0" * 32)
     with pytest.raises(FormatError, match="not a checkpoint"):
         model.load_checkpoint(tmp_path / "bad.ckpt")
+
+
+def _rewrite_header(path, edit):
+    """Replace a checkpoint's header bytes with edit(header bytes)."""
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    head = edit(blob[12:12 + n])
+    path.write_bytes(blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + n:])
+
+
+def _drop_config(head):
+    header = json.loads(head)
+    del header["config"]
+    return json.dumps(header).encode()
+
+
+def _zero_hidden(head):
+    header = json.loads(head)
+    header["config"]["hidden"] = 0
+    return json.dumps(header).encode()
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    ("checkpoint", lambda p: _rewrite_header(p, lambda h: b"x" + h[1:])),
+    ("checkpoint", lambda p: _rewrite_header(p, _drop_config)),
+    ("checkpoint", lambda p: _rewrite_header(p, _zero_hidden)),
+    ("spec", lambda p: p.write_text('{"n": 2,')),
+    ("spec", lambda p: p.write_text("[1, 2]")),
+    ("priors", lambda p: p.write_text('{"groups": [')),
+    ("priors", lambda p: p.write_bytes(b"\xff\xfe")),
+], ids=["ckpt-bad-json", "ckpt-no-config", "ckpt-bad-config", "spec-bad-json",
+        "spec-not-object", "priors-bad-json", "priors-bad-utf8"])
+def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
+    corpus, spec, prior, params = tiny_problem(rng)
+    path = tmp_path / kind
+    save, load = {
+        "checkpoint": (lambda: model.save_checkpoint(path, params),
+                       lambda: model.load_checkpoint(path)),
+        "spec": (lambda: grouping.save_group_spec(path, spec, corpus.vocab),
+                 lambda: grouping.load_group_spec(path, corpus.vocab)),
+        "priors": (lambda: priors.save_temporal_prior(path, prior, spec, corpus.vocab),
+                   lambda: priors.load_temporal_prior(path, spec, corpus.vocab)),
+    }[kind]
+    save()
+    load()  # the intact file loads
+    corrupt(path)
+    with pytest.raises(FormatError, match=str(path)):
+        load()

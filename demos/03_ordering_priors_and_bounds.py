@@ -8,6 +8,7 @@ label's own adjustment so no ordering-violating bias is introduced.
 """
 
 import gtla
+from gtla.priors import bounds_matrix, temporal_factor_matrix
 
 # A tiny hand-made example first: two orderings of the last two actions.
 corpus = [["prep", "cook", "plate", "serve"], ["prep", "cook", "serve", "plate"]]
@@ -28,20 +29,19 @@ for c, name in enumerate(group_names):
     print(f"  {name:>10}: p={group.prior[c]:.3f}  "
           f"precede={precede}  follow={follow}")
 
-# Temporal bounds of each class on one training sequence of this group.
+# Temporal bounds of every class on one training sequence of this group.
 seq = next(s for s in train.sequences if spec.group_of(s) == k)
 local = gtla.relabel_for_group(seq, spec, k)
+lo, hi = bounds_matrix(local, group)
 print(f"\nbounds on {seq.id!r} (T={seq.num_frames}):")
 for c, name in enumerate(group_names):
-    lo, hi = gtla.temporal_bounds(c, local, group)
-    print(f"  {name:>10}: adjustment window [{lo}, {hi}]")
+    print(f"  {name:>10}: adjustment window [{lo[c]}, {hi[c]}]")
 
 # The temporal factor is 1 inside the window; outside it equals the ratio
 # of log priors, which makes the adjustment match the true label's own.
+factors = temporal_factor_matrix(local, group)
 c = group_names.index("tweak_a")
-lo, hi = gtla.temporal_bounds(c, local, group)
-inside_t, outside_t = (lo + hi) // 2, 0
+inside_t, outside_t = (lo[c] + hi[c]) // 2, 0
 for t in (inside_t, outside_t):
-    factor = gtla.temporal_factor(c, t, (lo, hi), int(local[t]), group)
-    where = "inside" if lo <= t <= hi else "outside"
-    print(f"factor for tweak_a at t={t} ({where}): {factor:.3f}")
+    where = "inside" if lo[c] <= t <= hi[c] else "outside"
+    print(f"factor for tweak_a at t={t} ({where}): {factors[c, t]:.3f}")

@@ -47,15 +47,7 @@ from .metrics import (
     per_class_recall,
 )
 from .model import AdamState, BackboneConfig, ModelParams, adam_step, backward, forward, init_params
-from .priors import (
-    GroupPrior,
-    TemporalPrior,
-    class_prior,
-    extract_priors,
-    extract_temporal_sets,
-    temporal_bounds,
-    temporal_factor,
-)
+from .priors import GroupPrior, TemporalPrior, class_prior, extract_priors, extract_temporal_sets
 from .training import TrainState, train_model
 
 __version__ = "0.1.0"
@@ -112,8 +104,6 @@ __all__ = [
     "smoothing_loss",
     "symmetric_kl",
     "synth_generate",
-    "temporal_bounds",
-    "temporal_factor",
     "total_loss",
     "train_model",
     "write_corpus",

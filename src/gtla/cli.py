@@ -41,19 +41,22 @@ def _load_json(path: str | Path, ctx: str) -> dict:
 _JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
 
 
+# JSON value types accepted for each field type; bool is never a number.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _from_json(cls, payload: dict, ctx: str, **given):
     """Build ``cls`` from a config section: every defaulted field not in
-    ``given`` may appear (under its ``_JSON_NAMES`` spelling), is converted to
-    its default's type, and keeps the default when omitted."""
+    ``given`` may appear (under its ``_JSON_NAMES`` spelling) with a value of a
+    fitting JSON type, and keeps the default when omitted."""
     names = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)
              if f.default is not MISSING and f.name not in given}
     _check_keys(payload, set(names), ctx)
     for key, value in payload.items():
-        f = names[key]
-        try:
-            given[f.name] = type(f.default)(value)
-        except (TypeError, ValueError):
+        kind = type(names[key].default)
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
+        given[names[key].name] = kind(value)
     return cls(**given)
 
 

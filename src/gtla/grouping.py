@@ -239,11 +239,11 @@ def group_spec_to_dict(spec: GroupSpec, vocab: ClassVocab) -> dict:
 
 
 def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
-    for cls in payload.get("classes_of_group", ()):
-        for name in cls:
-            if name not in vocab.index:
-                raise FormatError(f"group spec names unknown class {name!r}")
     try:
+        for cls in payload["classes_of_group"]:
+            for name in cls:
+                if name not in vocab.index:
+                    raise FormatError(f"group spec names unknown class {name!r}")
         classes = tuple(tuple(vocab.id_of(name) for name in cls)
                         for cls in payload["classes_of_group"])
         centroids = payload.get("centroids")
@@ -256,8 +256,8 @@ def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
             group_of_sequence={s: int(k) for s, k in payload["group_of_sequence"].items()},
             centroids=tuple(tuple(c) for c in centroids) if centroids else None,
         )
-    except KeyError as exc:
-        raise FormatError(f"group spec missing key {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed group spec: {type(exc).__name__} {exc}") from exc
 
 
 def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
@@ -267,4 +267,8 @@ def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> Non
 
 
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
-    return group_spec_from_dict(read_json(path), vocab)
+    payload = read_json(path)
+    try:
+        return group_spec_from_dict(payload, vocab)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from .data import Corpus, Segment, segments_from_frames
 from .grouping import GroupSpec, relabel_for_group
 from .inference import Prediction
-from .priors import TemporalPrior, temporal_bounds
+from .priors import TemporalPrior, bounds_matrix
 
 log = logging.getLogger(__name__)
 
@@ -193,56 +194,49 @@ def _split_average(values: dict[int, float], split: HeadTailSplit,
 
 def balanced_f1(pred_segments_per_seq: Sequence[Sequence[Segment]],
                 gt_segments_per_seq: Sequence[Sequence[Segment]],
-                threshold: float, split: HeadTailSplit,
+                matches_per_seq: Sequence[Sequence[int | None]], split: HeadTailSplit,
                 ) -> tuple[float, float, float, dict[int, float]]:
     """Per-class segment F1 averaged within the head and tail sets.
 
     Class c's counts use only segments of class c, pooled over the corpus;
-    classes with neither GT nor predicted segments are excluded.
+    classes with neither GT nor predicted segments are excluded. The counts
+    come from each sequence's :func:`match_segments` result, which pairs only
+    same-class segments and so is a maximum matching within each class.
     """
-    tp: dict[int, int] = {}
-    fp: dict[int, int] = {}
-    fn: dict[int, int] = {}
-    for preds, gts in zip(pred_segments_per_seq, gt_segments_per_seq, strict=True):
-        classes = {s.label for s in preds} | {s.label for s in gts}
-        for c in classes:
-            p_c = [s for s in preds if s.label == c]
-            g_c = [s for s in gts if s.label == c]
-            t, f, n = match_counts(p_c, g_c, threshold)
-            tp[c] = tp.get(c, 0) + t
-            fp[c] = fp.get(c, 0) + f
-            fn[c] = fn.get(c, 0) + n
-    per_class = {c: f1_from_counts(tp[c], fp[c], fn[c])[2] * 100.0 for c in tp}
+    tp, num_pred, num_gt = Counter(), Counter(), Counter()
+    for preds, gts, matches in zip(pred_segments_per_seq, gt_segments_per_seq,
+                                   matches_per_seq, strict=True):
+        num_pred.update(s.label for s in preds)
+        num_gt.update(s.label for s in gts)
+        tp.update(s.label for s, m in zip(preds, matches, strict=True) if m is not None)
+    per_class = {c: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c])[2] * 100.0
+                 for c in sorted(num_pred.keys() | num_gt.keys())}
     head, tail, hmean = _split_average(per_class, split)
     return head, tail, hmean, per_class
 
 
-def fp_taxonomy(pred_segments: Sequence[Segment], gt_seq, spec: GroupSpec,
-                prior: TemporalPrior, group: int | None = None,
-                threshold: float = TAXONOMY_IOU) -> dict[str, int]:
+def fp_taxonomy(pred_segments: Sequence[Segment], matches: Sequence[int | None], gt_seq,
+                spec: GroupSpec, prior: TemporalPrior, group: int) -> dict[str, int]:
     """Classify predicted segments as TP or FP1/FP2/FP3.
 
-    Unmatched predictions whose class does not occur in the sequence's
-    group are FP1; ones whose class is in the group but whose midpoint
-    falls outside the class's ground-truth-derived temporal bounds are
-    FP2; the rest are FP3.
+    ``matches`` is :func:`match_segments` of the predictions against the
+    sequence's GT segments at ``TAXONOMY_IOU``. Unmatched predictions whose
+    class does not occur in ``group`` are FP1; ones whose class is in the
+    group but whose midpoint falls outside the class's ground-truth-derived
+    temporal bounds are FP2; the rest are FP3.
     """
-    gt_segments = segments_from_frames(gt_seq)
-    k = spec.group_of(gt_seq) if group is None else group
-    group_classes = set(spec.classes_of_group[k])
-    to_local = spec.global_to_local(k)
-    local_labels = relabel_for_group(gt_seq, spec, k)
-    matches = match_segments(pred_segments, gt_segments, threshold)
+    to_local = spec.global_to_local(group)
+    lo, hi = bounds_matrix(relabel_for_group(gt_seq, spec, group), prior.groups[group])
     counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
-    for seg, match in zip(pred_segments, matches):
+    for seg, match in zip(pred_segments, matches, strict=True):
         if match is not None:
             counts["tp"] += 1
-        elif seg.label not in group_classes:
+        elif seg.label not in to_local:
             counts["fp1"] += 1
         else:
-            lo, hi = temporal_bounds(to_local[seg.label], local_labels, prior.groups[k])
+            c = to_local[seg.label]
             midpoint = (seg.start + seg.end) // 2
-            counts["fp2" if not lo <= midpoint <= hi else "fp3"] += 1
+            counts["fp2" if not lo[c] <= midpoint <= hi[c] else "fp3"] += 1
     return counts
 
 
@@ -293,12 +287,13 @@ class MetricsReport:
 def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
                    spec: GroupSpec, prior: TemporalPrior, split: HeadTailSplit,
                    gt_groups: Sequence[int],
-                   iou_thresholds: Sequence[float] = IOU_THRESHOLDS,
                    exclude_classes: Sequence[int] = ()) -> MetricsReport:
     """Assemble the full metric suite for one evaluated corpus.
 
     ``exclude_classes`` drops classes (e.g. background) from the per-class
     averages and head/tail sets; global metrics always use every frame.
+    Global F1, balanced F1 and the FP taxonomy read one matching per
+    sequence and IoU threshold.
     """
     vocab = dataset.vocab
     excluded = set(exclude_classes)
@@ -316,12 +311,13 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         "mof": mof_accuracy(pred_labels, gt_labels),
         "edit": float(np.mean([edit_score(p, g) for p, g in zip(pred_segs, gt_segs)])),
     }
-    pooled = {t: np.zeros(3, dtype=np.int64) for t in iou_thresholds}
-    for preds, gts in zip(pred_segs, gt_segs):
-        for t in iou_thresholds:
-            pooled[t] += match_counts(preds, gts, t)
-    for t in iou_thresholds:
-        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(*pooled[t])[2] * 100.0
+    matches = {t: [match_segments(p, g, t) for p, g in zip(pred_segs, gt_segs)]
+               for t in IOU_THRESHOLDS}
+    num_pred = sum(map(len, pred_segs))
+    num_gt = sum(map(len, gt_segs))
+    for t in IOU_THRESHOLDS:
+        tp = sum(m is not None for seq_matches in matches[t] for m in seq_matches)
+        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(tp, num_pred - tp, num_gt - tp)[2] * 100.0
 
     recalls = per_class_recall(pred_labels, gt_labels, len(vocab))
     recalls = {c: v for c, v in recalls.items() if c not in excluded}
@@ -332,18 +328,19 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
     per_class: dict[str, dict[str, float]] = {
         "recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())},
     }
-    for t in iou_thresholds:
+    for t in IOU_THRESHOLDS:
         # excluded classes are in neither split set, so they never enter
         # the head/tail averages; drop them from the per-class detail only
-        head_f, tail_f, hmean_f, per_c = balanced_f1(pred_segs, gt_segs, t, split)
+        head_f, tail_f, hmean_f, per_c = balanced_f1(pred_segs, gt_segs, matches[t], split)
         balanced[f"f1@{t:.2f}"] = {"head": head_f, "tail": tail_f, "hmean": hmean_f}
         per_class[f"f1@{t:.2f}"] = {vocab.name_of(c): v
                                     for c, v in sorted(per_c.items())
                                     if c not in excluded}
 
     fp_counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
-    for pred, segs, seq, k in zip(predictions, pred_segs, dataset.sequences, gt_groups):
-        counts = fp_taxonomy(segs, seq, spec, prior, group=int(k))
+    for segs, seq_matches, seq, k in zip(pred_segs, matches[TAXONOMY_IOU],
+                                         dataset.sequences, gt_groups):
+        counts = fp_taxonomy(segs, seq_matches, seq, spec, prior, int(k))
         for key in fp_counts:
             fp_counts[key] += counts[key]
 

@@ -33,11 +33,11 @@ class GroupPrior:
     prior: np.ndarray  # length = number of real classes, sums to 1
     must_precede: tuple[frozenset[int], ...]
     must_follow: tuple[frozenset[int], ...]
-    # [0, c, x]: x must precede c; [1, c, x]: x must follow c
+    # [0, c, x]: x must precede c; [1, c, x]: x must follow c; x = others: never
     order_tables: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tables = np.zeros((2, self.num_classes, self.num_classes), dtype=bool)
+        tables = np.zeros((2, self.num_classes, self.num_classes + 1), dtype=bool)
         for c, (bf, af) in enumerate(zip(self.must_precede, self.must_follow)):
             if bf & af:
                 raise ValueError(f"class {c}: precede/follow sets overlap")
@@ -118,53 +118,26 @@ def extract_priors(train: Corpus, spec: GroupSpec) -> TemporalPrior:
     return TemporalPrior(tuple(groups))
 
 
-def temporal_bounds(c: int, labels: np.ndarray, prior: GroupPrior) -> tuple[int, int]:
-    """Frame window [lo, hi] (inclusive) where class ``c`` may be adjusted.
+def bounds_matrix(labels: np.ndarray, prior: GroupPrior) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class frame windows [lo[c], hi[c]] (inclusive) where c may be adjusted.
 
     lo is the last frame whose label must precede c, hi the first frame
     whose label must follow c. An empty ordering set, or one whose classes
     do not occur in this sequence, opens the corresponding side fully.
+    ``others`` frames never bound a window.
     """
-    labels = np.asarray(labels)
-    lo, hi = 0, int(labels.size)
-    precede = prior.must_precede[c]
-    if precede:
-        hits = np.flatnonzero(np.isin(labels, list(precede)))
-        if hits.size:
-            lo = int(hits[-1])
-    follow = prior.must_follow[c]
-    if follow:
-        hits = np.flatnonzero(np.isin(labels, list(follow)))
-        if hits.size:
-            hi = int(hits[0])
-    return lo, hi
-
-
-def bounds_matrix(labels: np.ndarray, prior: GroupPrior) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class lower/upper adjustment bounds: :func:`temporal_bounds` for all classes."""
     t = np.arange(len(labels))
     lo = np.where(prior.order_tables[0][:, labels], t, 0).max(axis=1, initial=0)
     hi = np.where(prior.order_tables[1][:, labels], t, t.size).min(axis=1, initial=t.size)
     return lo, hi
 
 
-def temporal_factor(c: int, t: int, bounds: tuple[int, int], y_t: int,
-                    prior: GroupPrior) -> float:
-    """Adjustment multiplier for class c at frame t.
-
-    Inside the bounds the adjustment applies in full; outside, the factor
-    rescales it to match the true label's own adjustment, so the relative
-    margin between c and the label is left untouched.
-    """
-    lo, hi = bounds
-    if lo <= t <= hi:
-        return 1.0
-    log_p = prior.clamped_log_prior()
-    return float(log_p[y_t] / log_p[c])
-
-
 def temporal_factor_matrix(labels: np.ndarray, prior: GroupPrior) -> np.ndarray:
-    """Factor matrix F (classes x frames) for a whole relabeled sequence."""
+    """Factor matrix F (classes x frames) for a whole relabeled sequence.
+
+    F is 1 inside a class's bounds; outside, it rescales the class's
+    adjustment to the true label's own, leaving their margin untouched.
+    """
     labels = np.asarray(labels)
     num = prior.num_classes
     if np.any(labels >= num):
@@ -197,18 +170,18 @@ def temporal_prior_from_dict(payload: dict, spec: GroupSpec,
                              vocab: ClassVocab) -> TemporalPrior:
     try:
         groups = []
-        for k, entry in enumerate(payload["groups"]):
-            names = [vocab.name_of(g) for g in spec.classes_of_group[k]]
+        for entry, classes in zip(payload["groups"], spec.classes_of_group, strict=True):
+            names = [vocab.name_of(g) for g in classes]
             local = {name: c for c, name in enumerate(names)}
-            prior = np.array([entry["prior"][name] for name in names])
+            prior = np.array([entry["prior"][name] for name in names], dtype=np.float64)
             precede = tuple(frozenset(local[x] for x in entry["must_precede"][name])
                             for name in names)
             follow = tuple(frozenset(local[x] for x in entry["must_follow"][name])
                            for name in names)
             groups.append(GroupPrior(prior, precede, follow))
         return TemporalPrior(tuple(groups))
-    except KeyError as exc:
-        raise FormatError(f"temporal prior missing key {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed temporal prior: {type(exc).__name__} {exc}") from exc
 
 
 def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
@@ -221,4 +194,8 @@ def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
 
 def load_temporal_prior(path: str | Path, spec: GroupSpec,
                         vocab: ClassVocab) -> TemporalPrior:
-    return temporal_prior_from_dict(read_json(path), spec, vocab)
+    payload = read_json(path)
+    try:
+        return temporal_prior_from_dict(payload, spec, vocab)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

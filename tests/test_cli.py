@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from gtla import cli, losses, model
 
 
@@ -251,11 +253,22 @@ class TestRunConfigSchema:
         assert code == 1
         assert "smooth_weight" in capsys.readouterr().err
 
-    def test_bad_value_is_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("tau", "high"), ("tau", "0.3"),
+                                            ("epochs", 1.9), ("epochs", True)],
+                             ids=["tau-high", "tau-str", "epochs-float", "epochs-bool"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, key, value):
         def edit(payload):
-            payload["train"]["tau"] = "high"
+            payload["train"][key] = value
         code, _ = self.train_with(tmp_path, edit)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: train section") and "tau" in err
+        assert err.startswith("error: train section") and key in err
         assert err.count("\n") == 1
+
+    def test_int_is_accepted_for_a_float_field(self, tmp_path):
+        def edit(payload):
+            payload["train"]["tau"] = 1
+        code, out = self.train_with(tmp_path, edit)
+        assert code == 0
+        logged = json.loads((out / "train_log.json").read_text())["train_config"]
+        assert logged["tau"] == 1.0 and isinstance(logged["tau"], float)

@@ -3,7 +3,7 @@
 The references below are the straightforward implementations the flat core
 replaced: a per-tensor Adam loop, a dilated convolution that pads its input
 with ``np.pad`` in forward and again in backward, and per-class temporal
-bounds. The flat core keeps every floating-point operation in the same
+bounds (the scalar oracle kept in ``test_priors``). The flat core keeps every floating-point operation in the same
 order, so results must be equal bit for bit, not merely close.
 """
 
@@ -17,6 +17,7 @@ from gtla import losses, model, priors, training
 from gtla.errors import FormatError
 
 from conftest import tiny_problem
+from test_priors import oracle_temporal_bounds
 
 
 def ref_dilated_conv(x, w, b, d):
@@ -113,7 +114,7 @@ def ref_adam_step(params, grads, state, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-
 
 def ref_temporal_factor_matrix(labels, prior):
     labels = np.asarray(labels)
-    bounds = [priors.temporal_bounds(c, labels, prior) for c in range(prior.num_classes)]
+    bounds = [oracle_temporal_bounds(c, labels, prior) for c in range(prior.num_classes)]
     lo, hi = (np.array(side)[:, None] for side in zip(*bounds))
     t = np.arange(labels.size)[None, :]
     log_p = prior.clamped_log_prior()
@@ -229,15 +230,18 @@ def random_group_prior(rng, num):
 
 def test_bounds_matrix_matches_scalar_bounds_by_brute_force():
     rng = np.random.default_rng(12)
-    for trial in range(200):
+    for trial in range(300):
         num = int(rng.integers(1, 7))
         prior = random_group_prior(rng, num)
-        # Draw labels from a subset, so some ordering classes are absent.
+        # Draw labels from a subset, so some ordering classes are absent; in
+        # every other trial add the ``others`` id (num), which bounds nothing.
         present = rng.choice(num, size=int(rng.integers(1, num + 1)), replace=False)
+        if trial % 2:
+            present = np.append(present, num)
         labels = rng.choice(present, size=int(rng.integers(0, 25)))
         lo, hi = priors.bounds_matrix(labels, prior)
         for c in range(num):
-            assert (lo[c], hi[c]) == priors.temporal_bounds(c, labels, prior), (trial, c)
+            assert (lo[c], hi[c]) == oracle_temporal_bounds(c, labels, prior), (trial, c)
 
 
 def test_factor_matrix_matches_reference_with_empty_ordering_sets():

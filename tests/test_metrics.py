@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gtla
-from gtla import metrics
+from gtla import metrics, priors
 from gtla.data import Segment, segments_from_frames
 
 
@@ -38,6 +38,35 @@ def oracle_max_matching(pred_segs, gt_segs, threshold):
         return top
 
     return best(0, frozenset())
+
+
+def oracle_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, threshold, split):
+    """Per-class re-matching reference: each class's segments are matched on their own."""
+    tp, fp, fn = {}, {}, {}
+    for preds, gts in zip(pred_segments_per_seq, gt_segments_per_seq, strict=True):
+        classes = {s.label for s in preds} | {s.label for s in gts}
+        for c in classes:
+            p_c = [s for s in preds if s.label == c]
+            g_c = [s for s in gts if s.label == c]
+            t, f, n = metrics.match_counts(p_c, g_c, threshold)
+            tp[c] = tp.get(c, 0) + t
+            fp[c] = fp.get(c, 0) + f
+            fn[c] = fn.get(c, 0) + n
+    per_class = {c: metrics.f1_from_counts(tp[c], fp[c], fn[c])[2] * 100.0 for c in tp}
+    head, tail, hmean = metrics._split_average(per_class, split)
+    return head, tail, hmean, per_class
+
+
+def balanced_f1_at(pred, gt, threshold, split):
+    """balanced_f1 on freshly matched segments at one threshold."""
+    matches = [metrics.match_segments(p, g, threshold) for p, g in zip(pred, gt)]
+    return metrics.balanced_f1(pred, gt, matches, split)
+
+
+def taxonomy(pred, seq, spec, prior):
+    """fp_taxonomy of one sequence in its own group, matched at TAXONOMY_IOU."""
+    matches = metrics.match_segments(pred, segments_from_frames(seq), metrics.TAXONOMY_IOU)
+    return gtla.fp_taxonomy(pred, matches, seq, spec, prior, spec.group_of(seq))
 
 
 class TestMof:
@@ -210,24 +239,41 @@ class TestBalancedF1:
     def test_never_predicted_tail_is_zero(self):
         gt = [segments_from_frames(np.array([0, 0, 1, 1]))]
         pred = [segments_from_frames(np.array([0, 0, 0, 0]))]
-        head, tail, hmean, _ = metrics.balanced_f1(pred, gt, 0.25,
-                                                   self.split({0}, {1}))
+        head, tail, hmean, _ = balanced_f1_at(pred, gt, 0.25, self.split({0}, {1}))
         assert tail == 0.0 and hmean == 0.0
 
     def test_equal_head_tail_hmean(self):
         labels = np.array([0, 0, 1, 1])
         segs = [segments_from_frames(labels)]
-        head, tail, hmean, _ = metrics.balanced_f1(segs, segs, 0.25,
-                                                   self.split({0}, {1}))
+        head, tail, hmean, _ = balanced_f1_at(segs, segs, 0.25, self.split({0}, {1}))
         assert head == tail == hmean == 100.0
 
     def test_absent_classes_excluded(self):
         labels = np.array([0, 0])
         segs = [segments_from_frames(labels)]
-        head, tail, hmean, per_class = metrics.balanced_f1(
+        head, tail, hmean, per_class = balanced_f1_at(
             segs, segs, 0.25, self.split({0}, {1, 2}))
         assert set(per_class) == {0}
         assert hmean == head  # empty tail side degenerates to the head value
+
+    def test_one_matching_gives_the_per_class_rematching_values(self, rng):
+        # match_segments only pairs same-class segments, so the per-class
+        # counts read from one matching equal a separate matching per class
+        for _ in range(200):
+            num_classes = int(rng.integers(2, 6))
+            split = self.split(range(num_classes // 2), range(num_classes // 2, num_classes))
+            gt, pred = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                labels = rng.integers(0, num_classes, size=int(rng.integers(1, 30)))
+                noisy = np.where(rng.random(labels.size) < 0.3,
+                                 rng.integers(0, num_classes, size=labels.size), labels)
+                gt.append(segments_from_frames(labels))
+                pred.append(segments_from_frames(noisy))
+            for threshold in metrics.IOU_THRESHOLDS:
+                *averages, per_class = balanced_f1_at(pred, gt, threshold, split)
+                *expected, oracle = oracle_balanced_f1(pred, gt, threshold, split)
+                assert per_class == oracle
+                assert averages == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestFpTaxonomy:
@@ -247,7 +293,7 @@ class TestFpTaxonomy:
     def test_perfect_prediction_all_tp(self):
         corpus, spec, prior = self.build()
         seq = corpus.sequences[0]
-        counts = gtla.fp_taxonomy(segments_from_frames(seq), seq, spec, prior)
+        counts = taxonomy(segments_from_frames(seq), seq, spec, prior)
         assert counts["tp"] == len(segments_from_frames(seq))
         assert counts["fp1"] == counts["fp2"] == counts["fp3"] == 0
 
@@ -255,7 +301,7 @@ class TestFpTaxonomy:
         corpus, spec, prior = self.build()
         seq = corpus.sequences[0]  # activity x; go_y is group y exclusive
         pred = [Segment(corpus.vocab.id_of("go_y"), 0, seq.num_frames)]
-        counts = gtla.fp_taxonomy(pred, seq, spec, prior)
+        counts = taxonomy(pred, seq, spec, prior)
         assert counts == {"tp": 0, "fp1": 1, "fp2": 0, "fp3": 0}
 
     def test_order_violations_are_fp2(self):
@@ -266,12 +312,12 @@ class TestFpTaxonomy:
         # the idle run puts its midpoint before the window opens
         k = spec.group_of(seq)
         local = gtla.relabel_for_group(seq, spec, k)
-        lo, hi = gtla.temporal_bounds(spec.global_to_local(k)[rare], local,
-                                      prior.groups[k])
+        lo, hi = priors.bounds_matrix(local, prior.groups[k])
+        lo = lo[spec.global_to_local(k)[rare]]
         assert lo == 3
         pred = [Segment(rare, 0, 2)]
         assert (pred[0].start + pred[0].end) // 2 < lo
-        counts = gtla.fp_taxonomy(pred, seq, spec, prior)
+        counts = taxonomy(pred, seq, spec, prior)
         assert counts == {"tp": 0, "fp1": 0, "fp2": 1, "fp3": 0}
 
     def test_in_window_misses_are_fp3(self):
@@ -280,8 +326,20 @@ class TestFpTaxonomy:
         go = corpus.vocab.id_of("go_x")
         # inside go_x's window but overlapping neither GT go_x segment enough
         pred = [Segment(go, 12, 14)]
-        counts = gtla.fp_taxonomy(pred, seq, spec, prior)
+        counts = taxonomy(pred, seq, spec, prior)
         assert counts == {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 1}
+
+    def test_gt_frames_outside_the_group(self):
+        # scored against group y, sequence x0's go_x/rare_x frames are
+        # ``others``; go_y must follow idle, whose last frame is 3
+        corpus, spec, prior = self.build()
+        seq, go_y = corpus.sequences[0], corpus.vocab.id_of("go_y")
+        k = spec.group_of(corpus.sequences[1])
+        assert k != spec.group_of(seq)
+        pred = [Segment(go_y, 0, 2), Segment(go_y, 10, 20)]
+        matches = metrics.match_segments(pred, segments_from_frames(seq), 0.25)
+        counts = gtla.fp_taxonomy(pred, matches, seq, spec, prior, k)
+        assert counts == {"tp": 0, "fp1": 0, "fp2": 1, "fp3": 1}
 
     def test_counts_partition_predictions(self, rng):
         corpus, spec, prior = self.build()
@@ -289,7 +347,7 @@ class TestFpTaxonomy:
         for _ in range(30):
             labels = rng.integers(0, 4, size=seq.num_frames)
             pred = segments_from_frames(labels)
-            counts = gtla.fp_taxonomy(pred, seq, spec, prior)
+            counts = taxonomy(pred, seq, spec, prior)
             assert sum(counts.values()) == len(pred)
 
 
@@ -355,6 +413,24 @@ class TestComputeReport:
         for key in ("global", "balanced", "fp_taxonomy", "group_id_accuracy",
                     "head_tail", "per_class"):
             assert key in payload
+
+    def test_matches_once_per_sequence_and_threshold(self, rng, monkeypatch):
+        train, test, spec, prior, split = self.build_eval(rng)
+        preds = [gtla.Prediction(s.id, spec.group_of(s), np.roll(s.labels, 3),
+                                 np.ones(s.num_frames), np.zeros(spec.n))
+                 for s in test.sequences]
+        gt_groups = [spec.group_of(s) for s in test.sequences]
+        calls = []
+        match_segments = metrics.match_segments
+
+        def counted(*args):
+            calls.append(args[2])
+            return match_segments(*args)
+
+        monkeypatch.setattr(metrics, "match_segments", counted)
+        gtla.compute_report(preds, test, spec, prior, split, gt_groups)
+        assert len(calls) == len(metrics.IOU_THRESHOLDS) * len(test.sequences)
+        assert sorted(set(calls)) == sorted(metrics.IOU_THRESHOLDS)
 
     def test_exclude_classes_drops_from_averages(self, rng):
         train, test, spec, prior, split = self.build_eval(rng)

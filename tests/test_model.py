@@ -220,6 +220,11 @@ def _drop_config(head):
     return json.dumps(header).encode()
 
 
+def _edit_json(path, **values):
+    """Overwrite top-level keys of a JSON file."""
+    path.write_text(json.dumps({**json.loads(path.read_text()), **values}))
+
+
 def _zero_hidden(head):
     header = json.loads(head)
     header["config"]["hidden"] = 0
@@ -234,8 +239,15 @@ def _zero_hidden(head):
     ("spec", lambda p: p.write_text("[1, 2]")),
     ("priors", lambda p: p.write_text('{"groups": [')),
     ("priors", lambda p: p.write_bytes(b"\xff\xfe")),
+    ("spec", lambda p: _edit_json(p, classes_of_group=3)),
+    ("spec", lambda p: _edit_json(p, group_of_activity=[])),
+    ("priors", lambda p: p.write_text('{"groups": 5}')),
+    ("priors", lambda p: _edit_json(p, groups=[{"prior": 1}])),
+    ("priors", lambda p: _edit_json(p, groups=[])),
 ], ids=["ckpt-bad-json", "ckpt-no-config", "ckpt-bad-config", "spec-bad-json",
-        "spec-not-object", "priors-bad-json", "priors-bad-utf8"])
+        "spec-not-object", "priors-bad-json", "priors-bad-utf8", "spec-wrong-type",
+        "spec-wrong-container", "priors-wrong-type", "priors-wrong-entry",
+        "priors-too-few-groups"])
 def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
     corpus, spec, prior, params = tiny_problem(rng)
     path = tmp_path / kind

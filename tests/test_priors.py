@@ -21,6 +21,44 @@ def oracle_temporal_sets(segment_label_seqs, c):
     return frozenset(before - after), frozenset(after - before)
 
 
+def oracle_temporal_bounds(c: int, labels: np.ndarray,
+                           prior: priors.GroupPrior) -> tuple[int, int]:
+    """Frame window [lo, hi] (inclusive) where class ``c`` may be adjusted.
+
+    lo is the last frame whose label must precede c, hi the first frame
+    whose label must follow c. An empty ordering set, or one whose classes
+    do not occur in this sequence, opens the corresponding side fully.
+    """
+    labels = np.asarray(labels)
+    lo, hi = 0, int(labels.size)
+    precede = prior.must_precede[c]
+    if precede:
+        hits = np.flatnonzero(np.isin(labels, list(precede)))
+        if hits.size:
+            lo = int(hits[-1])
+    follow = prior.must_follow[c]
+    if follow:
+        hits = np.flatnonzero(np.isin(labels, list(follow)))
+        if hits.size:
+            hi = int(hits[0])
+    return lo, hi
+
+
+def oracle_temporal_factor(c: int, t: int, bounds: tuple[int, int], y_t: int,
+                           prior: priors.GroupPrior) -> float:
+    """Adjustment multiplier for class c at frame t.
+
+    Inside the bounds the adjustment applies in full; outside, the factor
+    rescales it to match the true label's own adjustment, so the relative
+    margin between c and the label is left untouched.
+    """
+    lo, hi = bounds
+    if lo <= t <= hi:
+        return 1.0
+    log_p = prior.clamped_log_prior()
+    return float(log_p[y_t] / log_p[c])
+
+
 def random_segment_corpora(rng, count, max_seqs=8, max_classes=6, max_len=10):
     for _ in range(count):
         num_classes = int(rng.integers(2, max_classes + 1))
@@ -136,10 +174,16 @@ class TestTemporalBounds:
                                  tuple(frozenset(s) for s in precede),
                                  tuple(frozenset(s) for s in follow))
 
+    def bounds(self, c, labels, gp):
+        """Class c's window from bounds_matrix, checked against the oracle."""
+        lo, hi = priors.bounds_matrix(labels, gp)
+        assert (lo[c], hi[c]) == oracle_temporal_bounds(c, labels, gp)
+        return lo[c], hi[c]
+
     def test_empty_sets_open_bounds(self):
         gp = self.group_prior([0.5, 0.5], [set(), set()], [set(), set()])
         labels = np.array([0, 1, 0, 1])
-        assert gtla.temporal_bounds(0, labels, gp) == (0, 4)
+        assert self.bounds(0, labels, gp) == (0, 4)
 
     def test_last_precede_first_follow(self):
         # classes: 0=S, 1=c, 2=B; labels S S c c B B
@@ -147,14 +191,14 @@ class TestTemporalBounds:
                               [set(), {0}, set()],
                               [set(), {2}, set()])
         labels = np.array([0, 0, 1, 1, 2, 2])
-        assert gtla.temporal_bounds(1, labels, gp) == (1, 4)
+        assert self.bounds(1, labels, gp) == (1, 4)
 
     def test_absent_anchor_falls_back_open(self):
         gp = self.group_prior([0.5, 0.3, 0.2],
                               [set(), {2}, set()],
                               [set(), set(), set()])
         labels = np.array([0, 1, 0])  # class 2 never occurs
-        assert gtla.temporal_bounds(1, labels, gp) == (0, 3)
+        assert self.bounds(1, labels, gp) == (0, 3)
 
     def test_violated_order_crosses_bounds(self):
         # follow-class occurs before precede-class: hi < lo, window empty
@@ -162,7 +206,7 @@ class TestTemporalBounds:
                               [set(), {0}, set(), set()],
                               [set(), {2}, set(), set()])
         labels = np.array([2, 1, 0])
-        lo, hi = gtla.temporal_bounds(1, labels, gp)
+        lo, hi = self.bounds(1, labels, gp)
         assert lo == 2 and hi == 0
 
 
@@ -172,19 +216,32 @@ class TestTemporalFactor:
                                  (frozenset(), frozenset({0}), frozenset()),
                                  (frozenset(), frozenset(), frozenset()))
 
+    # Class 0 must precede class 1, so on labels 0 0 1 class 1's window is
+    # [1, 3]: frame 0 (label 0) lies outside it, frames 1 and 2 inside.
+
     def test_inside_bounds_is_one(self):
-        assert gtla.temporal_factor(1, 2, (0, 5), 0, self.group_prior()) == 1.0
+        assert oracle_temporal_factor(1, 2, (0, 5), 0, self.group_prior()) == 1.0
+        matrix = priors.temporal_factor_matrix(np.array([0, 0, 1]), self.group_prior())
+        assert matrix[1, 1] == matrix[1, 2] == 1.0
 
     def test_outside_equal_priors_is_one(self):
         gp = priors.GroupPrior(np.array([0.5, 0.5]),
                                (frozenset(), frozenset()),
                                (frozenset(), frozenset()))
-        assert gtla.temporal_factor(1, 9, (0, 5), 0, gp) == pytest.approx(1.0)
+        assert oracle_temporal_factor(1, 9, (0, 5), 0, gp) == pytest.approx(1.0)
+        gp = priors.GroupPrior(np.array([0.5, 0.5]),
+                               (frozenset(), frozenset({0})),
+                               (frozenset(), frozenset()))
+        matrix = priors.temporal_factor_matrix(np.array([0, 0, 1]), gp)
+        assert priors.bounds_matrix(np.array([0, 0, 1]), gp)[0][1] == 1  # frame 0 outside
+        assert matrix[1, 0] == pytest.approx(1.0)
 
     def test_outside_ratio_of_logs(self):
         # log(0.5) / log(0.25) = 0.5
-        assert gtla.temporal_factor(1, 9, (0, 5), 0, self.group_prior()) == \
+        assert oracle_temporal_factor(1, 9, (0, 5), 0, self.group_prior()) == \
             pytest.approx(0.5)
+        matrix = priors.temporal_factor_matrix(np.array([0, 0, 1]), self.group_prior())
+        assert matrix[1, 0] == pytest.approx(0.5)
 
     def test_factor_one_everywhere_when_sets_empty(self, rng):
         gp = priors.GroupPrior(np.array([0.7, 0.3]),
@@ -201,16 +258,23 @@ class TestTemporalFactor:
         labels = corpus.sequences[0].labels
         matrix = priors.temporal_factor_matrix(labels, prior)
         for c in range(prior.num_classes):
-            bounds = gtla.temporal_bounds(c, labels, prior)
+            bounds = oracle_temporal_bounds(c, labels, prior)
             for t in range(labels.size):
                 assert matrix[c, t] == pytest.approx(
-                    gtla.temporal_factor(c, t, bounds, int(labels[t]), prior))
+                    oracle_temporal_factor(c, t, bounds, int(labels[t]), prior))
 
     def test_clamped_degenerate_prior(self):
         gp = priors.GroupPrior(np.array([1.0]), (frozenset(),), (frozenset(),))
         # p = 1 clamps below 1, so the log stays non-zero and finite
-        value = gtla.temporal_factor(0, 9, (0, 5), 0, gp)
+        value = oracle_temporal_factor(0, 9, (0, 5), 0, gp)
         assert np.isfinite(value)
+        # class 0 (p = 1) must follow class 1 (p = 0); frame 0 lies outside
+        # class 0's window, where its factor divides by log p[0]
+        gp = priors.GroupPrior(np.array([1.0, 0.0]),
+                               (frozenset({1}), frozenset()),
+                               (frozenset(), frozenset()))
+        matrix = priors.temporal_factor_matrix(np.array([1, 1, 0]), gp)
+        assert np.all(np.isfinite(matrix)) and matrix[0, 0] > 1.0
 
 
 class TestExtractPriors:

@@ -45,6 +45,13 @@ _JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": 
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
+def _typed(value, kind: type, ctx: str, key: str):
+    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
+    return kind(value)
+
+
 def _from_json(cls, payload: dict, ctx: str, **given):
     """Build ``cls`` from a config section: every defaulted field not in
     ``given`` may appear (under its ``_JSON_NAMES`` spelling) with a value of a
@@ -53,10 +60,7 @@ def _from_json(cls, payload: dict, ctx: str, **given):
              if f.default is not MISSING and f.name not in given}
     _check_keys(payload, set(names), ctx)
     for key, value in payload.items():
-        kind = type(names[key].default)
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
-        given[names[key].name] = kind(value)
+        given[names[key].name] = _typed(value, type(names[key].default), ctx, key)
     return cls(**given)
 
 
@@ -144,7 +148,9 @@ def cmd_train(args) -> int:
 
     if args.seed is None and "seed" not in payload:
         raise ConfigError("run config: a seed is required (field or --seed)")
-    seed = args.seed if args.seed is not None else int(payload["seed"])
+    seed = args.seed
+    if seed is None:
+        seed = _typed(payload["seed"], int, "run config", "seed")
     train_cfg = _from_json(losses.TrainConfig, payload.get("train", {}), "train section",
                            seed=seed)
     train_cfg = replace(train_cfg, **{f.name: getattr(args, f.name)
@@ -168,8 +174,9 @@ def cmd_train(args) -> int:
     else:
         mode_text = groups_section.get("mode", "activity")
         if mode_text == "cluster":
-            mode = grouping.ByClustering(n=int(groups_section["n"]),
-                                         linkage=groups_section.get("linkage", "average"))
+            mode = grouping.ByClustering(
+                n=_typed(groups_section["n"], int, "groups section", "n"),
+                linkage=groups_section.get("linkage", "average"))
         else:
             mode = _parse_groups_mode(mode_text)
         spec = grouping.build_group_spec(corpus, mode)

@@ -41,33 +41,29 @@ def action_frequency(seq: FrameSeq, vocab: ClassVocab) -> np.ndarray:
     return counts / seq.num_frames
 
 
-def symmetric_kl(q_i: np.ndarray, q_j: np.ndarray) -> float:
-    """Symmetrized KL divergence between two distributions.
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of one distribution ``p`` against ``q`` or each row of ``q``.
 
-    Zero entries on the left of a term contribute 0; zero entries on the
-    right are floored at 1e-8 so the distance stays finite.
+    Zero entries of ``p`` contribute 0; entries of ``q`` are floored at
+    ``KL_FLOOR`` so the divergence stays finite.
     """
+    m = p > 0
+    # compress keeps the rows C-contiguous, so each row sums in the order a
+    # 1-d sum uses and a row of the matrix equals the single-pair value.
+    q_m = q.compress(m, axis=-1)
+    return np.sum(p[m] * np.log(p[m] / np.maximum(q_m, KL_FLOOR)), axis=-1)
+
+
+def symmetric_kl(q_i: np.ndarray, q_j: np.ndarray) -> float:
+    """Symmetrized KL divergence ``0.5 * (KL(q_i || q_j) + KL(q_j || q_i))``."""
     q_i = np.asarray(q_i, dtype=np.float64)
     q_j = np.asarray(q_j, dtype=np.float64)
     if q_i.shape != q_j.shape:
         raise ValueError(f"length mismatch: {q_i.shape} vs {q_j.shape}")
-
-    def _kl(a, b):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / np.maximum(b[mask], KL_FLOOR))))
-
-    return 0.5 * (_kl(q_i, q_j) + _kl(q_j, q_i))
+    return 0.5 * (float(_kl(q_i, q_j)) + float(_kl(q_j, q_i)))
 
 
-def _cluster_distance(members_a, members_b, dist, linkage):
-    block = dist[np.ix_(members_a, members_b)]
-    if linkage == "average":
-        return float(block.mean())
-    if linkage == "complete":
-        return float(block.max())
-    if linkage == "single":
-        return float(block.min())
-    raise ConfigError(f"unknown linkage {linkage!r}")
+_LINKAGES = ("average", "complete", "single")
 
 
 def hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "average") -> np.ndarray:
@@ -76,37 +72,57 @@ def hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "average") -> 
     Merges the closest pair (ties broken by lowest indices) until ``n``
     clusters remain; returns a cluster id per point, ids numbered by first
     appearance so the output is deterministic.
+
+    Cluster distances live in one stored matrix updated after each merge by
+    the Lance-Williams rule of the linkage; each cluster is indexed by its
+    lowest member, so the row-major first minimum is the lowest-index pair.
     """
+    if linkage not in _LINKAGES:
+        raise ConfigError(f"unknown linkage {linkage!r}")
     dist = np.asarray(dist, dtype=np.float64)
-    num = dist.shape[0]
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError("distance matrix must be square")
-    if not np.allclose(dist, dist.T, atol=1e-12):
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("distance matrix must be finite")
+    if not np.allclose(dist, dist.T, rtol=0, atol=1e-12):
         raise ValueError("distance matrix must be symmetric")
     if np.any(np.abs(np.diag(dist)) > 1e-12):
         raise ValueError("distance matrix must have a zero diagonal")
+    num = dist.shape[0]
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > num:
         raise ValueError(f"cannot form {n} clusters from {num} sequences")
 
-    clusters: list[list[int]] = [[i] for i in range(num)]
-    while len(clusters) > n:
-        best = (np.inf, 0, 1)
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = _cluster_distance(clusters[a], clusters[b], dist, linkage)
-                if d < best[0]:
-                    best = (d, a, b)
-        _, a, b = best
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
+    # The upper triangle, mirrored: exact symmetry makes the first minimum an
+    # (a < b) pair. inf marks the diagonal and merged-away clusters.
+    d = np.triu(dist, 1)
+    d += d.T
+    if linkage == "average":
+        sums = d.copy()  # block sums; exact sums give exactly block.mean()
+        size = np.ones(num)
+    alive = np.ones(num, dtype=bool)
+    owner = np.arange(num)  # lowest member of each point's cluster
+    np.fill_diagonal(d, np.inf)
+    for _ in range(num - n):
+        a, b = divmod(int(np.argmin(d)), num)
+        alive[b] = False
+        owner[owner == b] = a
+        if linkage == "average":
+            sums[a] += sums[b]
+            sums[:, a] = sums[a]
+            size[a] += size[b]
+            row = sums[a] / (size[a] * size)
+        elif linkage == "complete":
+            row = np.maximum(d[a], d[b])
+        else:
+            row = np.minimum(d[a], d[b])
+        row[~alive] = np.inf
+        row[a] = np.inf
+        d[a] = d[:, a] = row
+        d[b] = d[:, b] = np.inf
 
-    assignment = np.empty(num, dtype=np.int64)
-    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
-    for new_id, c in enumerate(order):
-        assignment[clusters[c]] = new_id
-    return assignment
+    return np.unique(owner, return_inverse=True)[1].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -187,11 +203,8 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering,
         mode_name = "activity"
     elif isinstance(mode, ByClustering):
         freqs = np.stack([action_frequency(s, vocab) for s in train.sequences])
-        num = len(train.sequences)
-        dist = np.zeros((num, num))
-        for i in range(num):
-            for j in range(i + 1, num):
-                dist[i, j] = dist[j, i] = symmetric_kl(freqs[i], freqs[j])
+        kl = np.stack([_kl(f, freqs) for f in freqs])  # kl[i, j] = KL(q_i || q_j)
+        dist = 0.5 * (kl + kl.T)
         assignment = hierarchical_cluster(dist, mode.n, mode.linkage)
         membership = [int(a) for a in assignment]
         n = mode.n

@@ -253,16 +253,23 @@ class TestRunConfigSchema:
         assert code == 1
         assert "smooth_weight" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("tau", "high"), ("tau", "0.3"),
-                                            ("epochs", 1.9), ("epochs", True)],
-                             ids=["tau-high", "tau-str", "epochs-float", "epochs-bool"])
-    def test_bad_value_is_one_error_line(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "tau", "high"), ("train", "tau", "0.3"),
+        ("train", "epochs", 1.9), ("train", "epochs", True),
+        (None, "seed", 7.9), (None, "seed", "7"), (None, "seed", True),
+        ("groups", "n", 2.5), ("groups", "n", "2"), ("groups", "n", True),
+    ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool",
+            "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
-            payload["train"][key] = value
+            if section == "groups":
+                payload["groups"] = {"mode": "cluster", "n": 2}
+            (payload[section] if section else payload)[key] = value
         code, _ = self.train_with(tmp_path, edit)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: train section") and key in err
+        ctx = {"train": "train section", "groups": "groups section", None: "run config"}
+        assert err.startswith(f"error: {ctx[section]}") and key in err
         assert err.count("\n") == 1
 
     def test_int_is_accepted_for_a_float_field(self, tmp_path):

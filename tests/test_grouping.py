@@ -8,6 +8,63 @@ from gtla import grouping
 from gtla.errors import ConfigError
 
 
+def oracle_cluster_distance(members_a, members_b, dist, linkage):
+    block = dist[np.ix_(members_a, members_b)]
+    if linkage == "average":
+        return float(block.mean())
+    if linkage == "complete":
+        return float(block.max())
+    if linkage == "single":
+        return float(block.min())
+    raise ConfigError(f"unknown linkage {linkage!r}")
+
+
+def oracle_hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "average") -> np.ndarray:
+    """Agglomerative clustering on a precomputed distance matrix.
+
+    Merges the closest pair (ties broken by lowest indices) until ``n``
+    clusters remain; returns a cluster id per point, ids numbered by first
+    appearance so the output is deterministic.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    num = dist.shape[0]
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if not np.allclose(dist, dist.T, atol=1e-12):
+        raise ValueError("distance matrix must be symmetric")
+    if np.any(np.abs(np.diag(dist)) > 1e-12):
+        raise ValueError("distance matrix must have a zero diagonal")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > num:
+        raise ValueError(f"cannot form {n} clusters from {num} sequences")
+
+    clusters: list[list[int]] = [[i] for i in range(num)]
+    while len(clusters) > n:
+        best = (np.inf, 0, 1)
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                d = oracle_cluster_distance(clusters[a], clusters[b], dist, linkage)
+                if d < best[0]:
+                    best = (d, a, b)
+        _, a, b = best
+        clusters[a] = clusters[a] + clusters[b]
+        del clusters[b]
+
+    assignment = np.empty(num, dtype=np.int64)
+    order = sorted(range(len(clusters)), key=lambda c: min(clusters[c]))
+    for new_id, c in enumerate(order):
+        assignment[clusters[c]] = new_id
+    return assignment
+
+
+def random_distances(rng, num, ties):
+    """Symmetric zero-diagonal matrix: floats in [0, 1), or ties in {1, 2, 3}."""
+    values = rng.integers(1, 4, size=(num, num)).astype(float) if ties else rng.random((num, num))
+    upper = np.triu(values, 1)
+    return upper + upper.T
+
+
 def make_corpus(specs, vocab_names):
     """specs: list of (activity, label list) tuples."""
     vocab = gtla.ClassVocab(tuple(vocab_names))
@@ -129,6 +186,31 @@ class TestHierarchicalCluster:
         with pytest.raises(ValueError, match="symmetric"):
             gtla.hierarchical_cluster(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
 
+    def test_symmetry_is_checked_without_relative_tolerance(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            gtla.hierarchical_cluster(np.array([[0.0, 1.0], [1.000005, 0.0]]), 1)
+
+    def test_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="finite"):
+            gtla.hierarchical_cluster(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1)
+
+    def test_unknown_linkage_rejected_before_any_merge(self, rng):
+        dist, _ = self.blob_distances(rng)
+        # n = #points needs no merge, so no cluster distance is ever computed
+        with pytest.raises(ConfigError, match="bogus"):
+            gtla.hierarchical_cluster(dist, len(dist), linkage="bogus")
+
+    @pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
+    def test_matches_oracle(self, rng, linkage, ties):
+        for num in range(3, 16):
+            for _ in range(4):
+                dist = random_distances(rng, num, ties)
+                for n in range(1, num + 1):
+                    expected = oracle_hierarchical_cluster(dist, n, linkage)
+                    assert np.array_equal(gtla.hierarchical_cluster(dist, n, linkage),
+                                          expected), (num, n, dist)
+
 
 class TestBuildGroupSpec:
     def test_disjoint_activities(self):
@@ -192,6 +274,43 @@ class TestBuildGroupSpec:
         assert all(len(g) == 1 for g in by_activity.values())
         assert len({g.pop() for g in by_activity.values()}) == 3
         assert spec.centroids is not None
+
+    def test_distance_matrix_matches_pairwise_symmetric_kl(self, monkeypatch):
+        # Twenty classes with up to all present, so rows sum more than 8 terms.
+        rng = np.random.default_rng(5)
+        specs = [("x", rng.integers(0, int(rng.integers(2, 21)), size=int(rng.integers(5, 80))))
+                 for _ in range(40)]
+        corpus = make_corpus(specs, [f"c{i}" for i in range(20)])
+        seen = []
+
+        def capture(dist, n, linkage="average"):
+            seen.append(dist)
+            return np.zeros(len(dist), dtype=np.int64)
+
+        monkeypatch.setattr(grouping, "hierarchical_cluster", capture)
+        gtla.build_group_spec(corpus, gtla.ByClustering(n=1))
+        freqs = [gtla.action_frequency(s, corpus.vocab) for s in corpus.sequences]
+        expected = np.zeros((len(freqs), len(freqs)))
+        for i in range(len(freqs)):
+            for j in range(i + 1, len(freqs)):
+                expected[i, j] = expected[j, i] = gtla.symmetric_kl(freqs[i], freqs[j])
+        assert np.array_equal(seen[0], expected)
+
+    def test_breakfast_scale_clustering_recovers_activities(self):
+        # 1,712 sequences (Breakfast's video count) over 10 activities with
+        # disjoint class sets; every sequence shows all of its activity's classes.
+        rng = np.random.default_rng(11)
+        specs = []
+        for i in range(1712):
+            activity = i % 10
+            classes = np.arange(4 * activity, 4 * activity + 4)
+            labels = np.concatenate([classes, rng.choice(classes, size=int(rng.integers(4, 40)))])
+            specs.append((f"act{activity}", labels))
+        corpus = make_corpus(specs, [f"c{i}" for i in range(40)])
+        spec = gtla.build_group_spec(corpus, gtla.ByClustering(n=10))
+        pairs = {(seq.activity, spec.group_of(seq)) for seq in corpus.sequences}
+        assert len(pairs) == 10
+        assert len({a for a, _ in pairs}) == len({k for _, k in pairs}) == 10
 
     def test_nearest_group_diagnostic(self):
         specs = [("x", [0] * 10), ("x", [0] * 9 + [1]), ("y", [2] * 10), ("y", [2] * 9 + [1])]

@@ -51,60 +51,3 @@ from .priors import GroupPrior, TemporalPrior, class_prior, extract_priors, extr
 from .training import TrainState, train_model
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "BackboneConfig",
-    "ByActivity",
-    "ByClustering",
-    "ClassVocab",
-    "Corpus",
-    "FeatureMatrix",
-    "FrameSeq",
-    "GroupPrior",
-    "GroupSpec",
-    "HeadTailSplit",
-    "MetricsReport",
-    "ModelParams",
-    "Prediction",
-    "Segment",
-    "SynthConfig",
-    "TemporalPrior",
-    "TrainConfig",
-    "TrainState",
-    "action_frequency",
-    "adam_step",
-    "backward",
-    "build_group_spec",
-    "ce_loss",
-    "class_prior",
-    "compute_report",
-    "decode_labels",
-    "edit_score",
-    "extract_priors",
-    "extract_temporal_sets",
-    "f1_at_iou",
-    "forward",
-    "fp_taxonomy",
-    "group_id_accuracy",
-    "gtla_adjust",
-    "gtla_loss",
-    "head_tail_split",
-    "hierarchical_cluster",
-    "identify_group",
-    "init_params",
-    "la_loss",
-    "load_corpus",
-    "longtail_benchmark_config",
-    "mof_accuracy",
-    "per_class_recall",
-    "predict_corpus",
-    "relabel_for_group",
-    "segments_from_frames",
-    "smoothing_loss",
-    "symmetric_kl",
-    "synth_generate",
-    "total_loss",
-    "train_model",
-    "write_corpus",
-]

@@ -15,6 +15,7 @@ import logging
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
 from .data.io import read_json
@@ -42,14 +43,23 @@ _JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": 
 
 
 # JSON value types accepted for each field type; bool is never a number.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
-def _typed(value, kind: type, ctx: str, key: str):
-    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+def _typed(value, kind, ctx: str, key: str):
+    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``;
+    ``list[item]`` takes a JSON array of ``item`` values and gives a tuple."""
+    is_list = get_origin(kind) is list
+    if is_list and isinstance(value, list):
+        return tuple(_typed(v, get_args(kind)[0], ctx, key) for v in value)
+    if is_list or isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
     return kind(value)
+
+
+def _get(section: dict, key: str, kind, ctx: str, default=None):
+    """``section[key]`` checked by ``_typed``, or ``default`` when absent."""
+    return _typed(section[key], kind, ctx, key) if key in section else default
 
 
 def _from_json(cls, payload: dict, ctx: str, **given):
@@ -81,18 +91,25 @@ def _synth_config_from_json(payload: dict, seed: int | None) -> data.SynthConfig
     if seed is not None:
         scalars["seed"] = seed
     activities = {}
-    for name, spec in payload["activities"].items():
-        _check_keys(spec, {"mandatory", "optionals"}, f"activity {name!r}")
+    for name, spec in _typed(payload["activities"], dict, "synth config", "activities").items():
+        ctx = f"activity {name!r}"
+        spec = _typed(spec, dict, "activities", name)
+        _check_keys(spec, {"mandatory", "optionals"}, ctx)
         optionals = tuple(
-            data.OptionalAction(o["name"], float(o["prob"]), tuple(o["gaps"]))
-            for o in spec.get("optionals", ()))
-        activities[name] = data.ActivityGrammar(tuple(spec["mandatory"]), optionals)
+            data.OptionalAction(_typed(o["name"], str, ctx, "name"),
+                                _typed(o["prob"], float, ctx, "prob"),
+                                _typed(o["gaps"], list[int], ctx, "gaps"))
+            for o in _get(spec, "optionals", list[dict], ctx, ()))
+        activities[name] = data.ActivityGrammar(
+            _typed(spec["mandatory"], list[str], ctx, "mandatory"), optionals)
     durations = {}
-    for name, spec in payload["durations"].items():
-        _check_keys(spec, {"median", "sigma"}, f"duration {name!r}")
-        durations[name] = data.DurationModel(float(spec["median"]),
-                                             float(spec.get("sigma", 0.0)))
-    similar = tuple(tuple(f) for f in payload.get("similar_classes", ()))
+    for name, spec in _typed(payload["durations"], dict, "synth config", "durations").items():
+        ctx = f"duration {name!r}"
+        spec = _typed(spec, dict, "durations", name)
+        _check_keys(spec, {"median", "sigma"}, ctx)
+        durations[name] = data.DurationModel(_typed(spec["median"], float, ctx, "median"),
+                                             _get(spec, "sigma", float, ctx, 0.0))
+    similar = _get(payload, "similar_classes", list[list[str]], "synth config", ())
     return _from_json(data.SynthConfig, scalars, "synth config", activities=activities,
                       durations=durations, similar_classes=similar)
 
@@ -140,55 +157,57 @@ def cmd_train(args) -> int:
     _check_keys(payload, {"version", "seed", "data", "groups", "backbone",
                           "train", "out"}, "run config")
     root = Path(args.config).parent
-    data_section = payload.get("data", {})
+    data_section = _get(payload, "data", dict, "run config", {})
     _check_keys(data_section, {"train_manifest"}, "data section")
     if "train_manifest" not in data_section:
         raise ConfigError("run config: data.train_manifest is required")
-    corpus = data.load_corpus(root / data_section["train_manifest"])
+    corpus = data.load_corpus(
+        root / _typed(data_section["train_manifest"], str, "data section", "train_manifest"))
 
     if args.seed is None and "seed" not in payload:
         raise ConfigError("run config: a seed is required (field or --seed)")
     seed = args.seed
     if seed is None:
         seed = _typed(payload["seed"], int, "run config", "seed")
-    train_cfg = _from_json(losses.TrainConfig, payload.get("train", {}), "train section",
-                           seed=seed)
+    train_cfg = _from_json(losses.TrainConfig, _get(payload, "train", dict, "run config", {}),
+                           "train section", seed=seed)
     train_cfg = replace(train_cfg, **{f.name: getattr(args, f.name)
                                       for f in fields(train_cfg)
                                       if getattr(args, f.name, None) is not None})
 
-    out = Path(args.out or payload.get("out") or "run")
+    out_field = _get(payload, "out", str, "run config")
+    out = Path(args.out or out_field or "run")
     out.mkdir(parents=True, exist_ok=True)
 
-    groups_section = payload.get("groups", {"mode": "activity"})
+    groups_section = _get(payload, "groups", dict, "run config", {})
     _check_keys(groups_section, {"mode", "n", "linkage", "spec", "priors"},
                 "groups section")
+    groups = {key: _typed(value, int if key == "n" else str, "groups section", key)
+              for key, value in groups_section.items()}
     if args.groups:
         override = _parse_groups_mode(args.groups)
         if isinstance(override, grouping.ByClustering):
-            groups_section = {"mode": "cluster", "n": override.n}
+            groups = {"mode": "cluster", "n": override.n}
         else:
-            groups_section = {"mode": "activity"}
-    if "spec" in groups_section:
-        spec = grouping.load_group_spec(root / groups_section["spec"], corpus.vocab)
+            groups = {"mode": "activity"}
+    if "spec" in groups:
+        spec = grouping.load_group_spec(root / groups["spec"], corpus.vocab)
     else:
-        mode_text = groups_section.get("mode", "activity")
+        mode_text = groups.get("mode", "activity")
         if mode_text == "cluster":
-            mode = grouping.ByClustering(
-                n=_typed(groups_section["n"], int, "groups section", "n"),
-                linkage=groups_section.get("linkage", "average"))
+            mode = grouping.ByClustering(n=groups["n"],
+                                         linkage=groups.get("linkage", "average"))
         else:
             mode = _parse_groups_mode(mode_text)
         spec = grouping.build_group_spec(corpus, mode)
         grouping.save_group_spec(out / "group_spec.json", spec, corpus.vocab)
-    if "priors" in groups_section:
-        prior = priors.load_temporal_prior(root / groups_section["priors"],
-                                           spec, corpus.vocab)
+    if "priors" in groups:
+        prior = priors.load_temporal_prior(root / groups["priors"], spec, corpus.vocab)
     else:
         prior = priors.extract_priors(corpus, spec)
         priors.save_temporal_prior(out / "priors.json", prior, spec, corpus.vocab)
 
-    backbone = _from_json(model.BackboneConfig, payload.get("backbone", {}),
+    backbone = _from_json(model.BackboneConfig, _get(payload, "backbone", dict, "run config", {}),
                           "backbone section", in_dim=corpus.feature_dim,
                           head_sizes=spec.head_sizes(), seed=seed)
 
@@ -197,6 +216,14 @@ def cmd_train(args) -> int:
         if params.cfg != backbone:
             raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
                               f"from the run config's {backbone}")
+        recorded = extra.get("train_config")
+        if isinstance(recorded, dict):
+            changed = [f"{key} {recorded.get(key)!r} -> {value!r}"
+                       for key, value in train_cfg.to_dict().items()
+                       if key != "epochs" and recorded.get(key) != value]
+            if changed:
+                raise ConfigError(f"--resume: the run's train config differs from the "
+                                  f"checkpoint's in {', '.join(changed)}")
         state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
     else:
         state = training.init_train_state(train_cfg, backbone)

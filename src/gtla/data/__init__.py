@@ -27,29 +27,3 @@ from .synth import (
     longtail_benchmark_config,
     synth_generate,
 )
-
-__all__ = [
-    "FEATURE_MAGIC",
-    "ActivityGrammar",
-    "ClassVocab",
-    "Corpus",
-    "DurationModel",
-    "FeatureMatrix",
-    "FrameSeq",
-    "OptionalAction",
-    "Segment",
-    "SynthConfig",
-    "frames_from_segments",
-    "load_corpus",
-    "load_features",
-    "load_label_file",
-    "load_mapping",
-    "longtail_benchmark_config",
-    "segment_labels",
-    "segments_from_frames",
-    "synth_generate",
-    "write_corpus",
-    "write_features",
-    "write_label_file",
-    "write_mapping",
-]

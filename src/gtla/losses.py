@@ -8,13 +8,13 @@ decodes unadjusted probabilities.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
 from .grouping import GroupSpec
-from .priors import PRIOR_CLAMP, GroupPrior, TemporalPrior, temporal_factor_matrix
+from .priors import GroupPrior, TemporalPrior, clamped_log, temporal_factor_matrix
 
 METHODS = ("ce", "la", "gtla")
 
@@ -51,15 +51,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _log_softmax_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    log_p = log_softmax(logits)
+    return log_p, np.exp(log_p)
+
+
+def _ce(log_p: np.ndarray, p: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean frame-wise cross-entropy and its logit gradient, from a head's
+    log-softmax and its exp; ``labels`` is one class per frame or one for all."""
+    frames = np.arange(log_p.shape[1])
+    grad = p.copy()
+    grad[labels, frames] -= 1.0
+    return float(-log_p[labels, frames].mean()), grad / frames.size
+
+
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean frame-wise cross-entropy and its gradient w.r.t. the logits."""
-    labels = np.asarray(labels)
-    num_frames = labels.size
-    log_p = log_softmax(logits)
-    loss = -log_p[labels, np.arange(num_frames)].mean()
-    grad = np.exp(log_p)
-    grad[labels, np.arange(num_frames)] -= 1.0
-    return float(loss), grad / num_frames
+    return _ce(*_log_softmax_exp(logits), np.asarray(labels))
 
 
 def smoothing_loss(log_probs: np.ndarray, clip: float = 4.0) -> tuple[float, np.ndarray]:
@@ -83,93 +91,76 @@ def smoothing_loss(log_probs: np.ndarray, clip: float = 4.0) -> tuple[float, np.
     return loss, grad
 
 
-def la_loss(logits: np.ndarray, labels: np.ndarray, prior: np.ndarray, tau: float,
-            adjust_mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Cross-entropy on prior-offset logits: s + tau * log p(class).
-
-    ``adjust_mask`` marks which rows receive the offset (all by default);
-    the gradient flows through the softmax of the adjusted logits.
-    """
-    prior = np.clip(np.asarray(prior, dtype=np.float64), PRIOR_CLAMP, 1.0 - PRIOR_CLAMP)
-    offset = tau * np.log(prior)
-    if adjust_mask is not None:
-        offset = np.where(adjust_mask, offset, 0.0)
-    return ce_loss(logits + offset[:, None], labels)
+def la_loss(logits: np.ndarray, labels: np.ndarray, prior: np.ndarray,
+            tau: float) -> tuple[float, np.ndarray]:
+    """Cross-entropy on prior-offset logits s + tau * log p(class) (Menon et
+    al. 2021); the gradient flows through the softmax of the adjusted logits."""
+    return ce_loss(logits + tau * clamped_log(prior)[:, None], labels)
 
 
 def gtla_adjust(logits: np.ndarray, labels: np.ndarray, prior: GroupPrior,
                 tau: float, temporal_factor: bool = True) -> np.ndarray:
     """Adjust the target group's logits; the ``others`` row is untouched.
 
-    With the temporal factor on, frames outside a class's bounds receive
-    the true label's adjustment instead of the class's own, which cancels
-    the margin shift there.
+    Each real class c is offset by tau * factor * log p(c). The factor is 1
+    without the temporal factor (the ``la`` offset); with it, frames outside
+    a class's bounds receive the true label's adjustment instead of the
+    class's own, which cancels the margin shift there.
     """
-    labels = np.asarray(labels)
-    num_real = prior.num_classes
-    out = logits.astype(np.float64).copy()
-    if tau == 0.0:
-        return out
-    if temporal_factor:
-        adjust = temporal_factor_matrix(labels, prior) * prior.clamped_log_prior()[:, None]
-    else:
-        adjust = np.broadcast_to(prior.clamped_log_prior()[:, None],
-                                 (num_real, labels.size))
-    out[:num_real] += tau * adjust
+    out = logits.astype(np.float64)
+    if tau != 0.0:
+        factor = temporal_factor_matrix(labels, prior) if temporal_factor else 1.0
+        out[:prior.num_classes] += tau * (factor * prior.clamped_log_prior()[:, None])
     return out
 
 
 def gtla_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: GroupSpec,
               prior: TemporalPrior, cfg: TrainConfig,
               ) -> tuple[float, list[np.ndarray]]:
-    """Group-wise classification loss of one training sequence.
-
-    Target group k: size-weighted cross-entropy on (method-dependent)
-    adjusted logits at the sequence's local labels. Every other group:
-    eta-weighted cross-entropy pushing its ``others`` class, on unadjusted
-    logits.
-    """
-    labels = np.asarray(labels)
-    group_prior = prior.groups[k]
-    if cfg.method == "ce":
-        target = logits[k]
-    else:  # "la" is G-TLA without the temporal factor
-        target = gtla_adjust(logits[k], labels, group_prior, cfg.tau,
-                             temporal_factor=cfg.method == "gtla")
-    alpha = spec.group_weights[k]
-    loss, grad_k = ce_loss(target, labels)
-    loss *= alpha
-    grads = [np.zeros_like(l) for l in logits]
-    grads[k] = alpha * grad_k
-    for i in range(spec.n):
-        if i == k:
-            continue
-        others = np.full(labels.size, spec.others_id(i), dtype=np.int64)
-        li, gi = ce_loss(logits[i], others)
-        loss += cfg.eta * li
-        grads[i] = cfg.eta * gi
-    return float(loss), grads
+    """Group-wise classification loss of one training sequence: ``total_loss``
+    without the smoothing penalty."""
+    loss, grads, _ = total_loss(logits, labels, k, spec, prior,
+                                replace(cfg, smooth_weight=0.0))
+    return loss, grads
 
 
 def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: GroupSpec,
                prior: TemporalPrior, cfg: TrainConfig,
                ) -> tuple[float, list[np.ndarray], dict[str, float]]:
-    """Classification loss plus the weighted smoothing penalty.
+    """The G-TLA objective of one training sequence, in one pass over the heads.
 
-    Smoothing is applied to each group's log-softmax independently and
-    averaged over groups.
+    Target group k: size-weighted cross-entropy on (method-dependent)
+    adjusted logits at the sequence's local labels. Every other group:
+    eta-weighted cross-entropy toward its ``others`` class. Every group: the
+    smoothing penalty on its unadjusted log-softmax, averaged over groups and
+    weighted by ``smooth_weight``. Each head's log-softmax and its exp are
+    computed once and shared by its two terms. The loss is summed target term
+    first, then the ``others`` terms by head index, then smoothing; another
+    order changes its last bit.
     """
-    loss, grads = gtla_loss(logits, labels, k, spec, prior, cfg)
-    parts = {"classification": loss, "smoothing": 0.0}
+    labels = np.asarray(labels)
+    heads = [_log_softmax_exp(s) for s in logits]
+    target = heads[k]
+    if cfg.method != "ce":  # "la" is G-TLA without the temporal factor
+        target = _log_softmax_exp(gtla_adjust(logits[k], labels, prior.groups[k], cfg.tau,
+                                              temporal_factor=cfg.method == "gtla"))
+    alpha = spec.group_weights[k]
+    loss, grad = _ce(*target, labels)
+    loss *= alpha
+    grads = [alpha * grad if i == k else None for i in range(spec.n)]
+    for i, (log_p, p) in enumerate(heads):
+        if i != k:
+            term, grad = _ce(log_p, p, spec.others_id(i))
+            loss += cfg.eta * term
+            grads[i] = cfg.eta * grad
+    parts = {"classification": float(loss), "smoothing": 0.0}
     if cfg.smooth_weight > 0.0:
+        scale = cfg.smooth_weight / spec.n
         smooth_total = 0.0
-        for i, s in enumerate(logits):
-            log_p = log_softmax(s)
-            sm, d_log_p = smoothing_loss(log_p, cfg.smooth_clip)
-            smooth_total += sm
-            scale = cfg.smooth_weight / spec.n
-            p = np.exp(log_p)
-            grads[i] += scale * (d_log_p - p * d_log_p.sum(axis=0, keepdims=True))
+        for (log_p, p), grad in zip(heads, grads):
+            term, d_log_p = smoothing_loss(log_p, cfg.smooth_clip)
+            smooth_total += term
+            grad += scale * (d_log_p - p * d_log_p.sum(axis=0, keepdims=True))
         parts["smoothing"] = smooth_total / spec.n
         loss += cfg.smooth_weight * parts["smoothing"]
     return float(loss), grads, parts

@@ -26,6 +26,12 @@ log = logging.getLogger(__name__)
 PRIOR_CLAMP = 1e-6
 
 
+def clamped_log(prior) -> np.ndarray:
+    """Log of a prior clamped into [PRIOR_CLAMP, 1 - PRIOR_CLAMP]; every logit
+    offset is built from it."""
+    return np.log(np.clip(np.asarray(prior, dtype=np.float64), PRIOR_CLAMP, 1.0 - PRIOR_CLAMP))
+
+
 @dataclass(frozen=True)
 class GroupPrior:
     """Prior and ordering sets for one group, over its real local classes."""
@@ -51,7 +57,7 @@ class GroupPrior:
         return int(self.prior.size)
 
     def clamped_log_prior(self) -> np.ndarray:
-        return np.log(np.clip(self.prior, PRIOR_CLAMP, 1.0 - PRIOR_CLAMP))
+        return clamped_log(self.prior)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,38 @@ class TestSynthCommand:
         assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "c")]) == 1
         assert "noise_sgima" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        (("activities", "first", "optionals", 0, "prob"), "0.5"),
+        (("activities", "first", "optionals", 0, "gaps"), "2"),
+        (("activities", "first", "optionals", 0, "gaps"), [2.0]),
+        (("activities", "first", "optionals", 0, "name"), 5),
+        (("activities", "first", "optionals"), {"name": "rare"}),
+        (("activities", "first", "mandatory"), "idle"),
+        (("activities", "first"), ["idle"]),
+        (("activities",), ["first"]),
+        (("durations", "work", "median"), "2"),
+        (("durations", "work", "sigma"), "0.2"),
+        (("durations", "work"), 8),
+        (("durations",), 5),
+        (("similar_classes",), "idle"),
+        (("similar_classes",), [["idle", 3]]),
+    ], ids=["prob-str", "gaps-str", "gaps-float", "name-int", "optionals-object",
+            "mandatory-str", "activity-list", "activities-list", "median-str",
+            "sigma-str", "duration-int", "durations-int", "similar-str", "similar-int"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, path, value):
+        payload = json.loads(synth_config(tmp_path).read_text())
+        payload["similar_classes"] = [["work", "other_work"]]
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(path[-1]) in err
+
     def test_missing_config_errors(self, tmp_path, capsys):
         assert run(["synth", "--config", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "c")]) == 1
@@ -207,6 +239,16 @@ class TestTrainEvalReport:
         assert err.startswith("error: --resume") and err.count("\n") == 1
         assert not (out / "r2" / "checkpoint.ckpt").exists()
 
+    def test_resume_rejects_other_train_config(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--tau", "0.9",
+                    "--resume", str(out / "run" / "checkpoint.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resume") and "tau" in err and err.count("\n") == 1
+        assert not (out / "r2" / "checkpoint.ckpt").exists()
+
     def test_resume_flag(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=2)
         assert run(["train", "--config", str(out / "run.json"),
@@ -258,8 +300,13 @@ class TestRunConfigSchema:
         ("train", "epochs", 1.9), ("train", "epochs", True),
         (None, "seed", 7.9), (None, "seed", "7"), (None, "seed", True),
         ("groups", "n", 2.5), ("groups", "n", "2"), ("groups", "n", True),
+        ("groups", "mode", 5), ("groups", "linkage", 5), ("groups", "spec", 5),
+        ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
+        (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool",
-            "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool"])
+            "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
+            "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
+            "out-int", "train-not-object", "groups-not-object", "data-not-object"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":
@@ -268,7 +315,8 @@ class TestRunConfigSchema:
         code, _ = self.train_with(tmp_path, edit)
         assert code == 1
         err = capsys.readouterr().err
-        ctx = {"train": "train section", "groups": "groups section", None: "run config"}
+        ctx = {"train": "train section", "groups": "groups section",
+               "data": "data section", None: "run config"}
         assert err.startswith(f"error: {ctx[section]}") and key in err
         assert err.count("\n") == 1
 

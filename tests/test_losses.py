@@ -124,17 +124,6 @@ class TestLaLoss:
         # grad < 0 raises a logit under gradient descent
         assert grad_rare[1, 0] < grad_freq[0, 0] < 0
 
-    def test_adjust_mask_blocks_rows(self, rng):
-        logits = rng.standard_normal((3, 4))
-        labels = rng.integers(0, 3, size=4)
-        prior = np.array([0.6, 0.3, 0.1])
-        mask = np.array([True, True, False])
-        loss, _ = gtla.la_loss(logits, labels, prior, tau=1.0, adjust_mask=mask)
-        manual = logits.copy()
-        manual[:2] += np.log(prior[:2])[:, None]
-        expected, _ = gtla.ce_loss(manual, labels)
-        assert loss == pytest.approx(expected, abs=1e-12)
-
 
 def open_prior(probs):
     n = len(probs)
@@ -243,9 +232,9 @@ class TestGtlaLoss:
         logits = [rng.standard_normal((3, 4))]
         cfg = losses.TrainConfig(method="gtla", tau=0.5, eta=0.3)
         loss, _ = gtla.gtla_loss(logits, labels, 0, spec, prior, cfg)
-        padded = np.concatenate([prior.groups[0].prior, [1.0]])
-        mask = np.array([True, True, False])
-        expected, _ = gtla.la_loss(logits[0], labels, padded, 0.5, adjust_mask=mask)
+        manual = logits[0].copy()
+        manual[:2] += 0.5 * np.log(prior.groups[0].prior)[:, None]
+        expected, _ = gtla.ce_loss(manual, labels)
         assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_confident_predictions_drive_loss_to_zero(self, rng):
@@ -318,3 +307,133 @@ class TestTotalLoss:
             losses.TrainConfig(tau=-0.1)
         with pytest.raises(ConfigError):
             losses.TrainConfig(smooth_clip=0.0)
+
+
+# The two-pass objective the single pass replaced, kept verbatim as an oracle:
+# every head's cross-entropy and its smoothing term each take their own
+# log-softmax, and the classification loss is its own function.
+
+def oracle_ce_loss(logits, labels):
+    labels = np.asarray(labels)
+    num_frames = labels.size
+    log_p = losses.log_softmax(logits)
+    loss = -log_p[labels, np.arange(num_frames)].mean()
+    grad = np.exp(log_p)
+    grad[labels, np.arange(num_frames)] -= 1.0
+    return float(loss), grad / num_frames
+
+
+def oracle_gtla_adjust(logits, labels, prior, tau, temporal_factor=True):
+    labels = np.asarray(labels)
+    num_real = prior.num_classes
+    out = logits.astype(np.float64).copy()
+    if tau == 0.0:
+        return out
+    if temporal_factor:
+        adjust = (gtla.priors.temporal_factor_matrix(labels, prior)
+                  * prior.clamped_log_prior()[:, None])
+    else:
+        adjust = np.broadcast_to(prior.clamped_log_prior()[:, None],
+                                 (num_real, labels.size))
+    out[:num_real] += tau * adjust
+    return out
+
+
+def oracle_gtla_loss(logits, labels, k, spec, prior, cfg):
+    labels = np.asarray(labels)
+    group_prior = prior.groups[k]
+    if cfg.method == "ce":
+        target = logits[k]
+    else:
+        target = oracle_gtla_adjust(logits[k], labels, group_prior, cfg.tau,
+                                    temporal_factor=cfg.method == "gtla")
+    alpha = spec.group_weights[k]
+    loss, grad_k = oracle_ce_loss(target, labels)
+    loss *= alpha
+    grads = [np.zeros_like(l) for l in logits]
+    grads[k] = alpha * grad_k
+    for i in range(spec.n):
+        if i == k:
+            continue
+        others = np.full(labels.size, spec.others_id(i), dtype=np.int64)
+        li, gi = oracle_ce_loss(logits[i], others)
+        loss += cfg.eta * li
+        grads[i] = cfg.eta * gi
+    return float(loss), grads
+
+
+def oracle_total_loss(logits, labels, k, spec, prior, cfg):
+    loss, grads = oracle_gtla_loss(logits, labels, k, spec, prior, cfg)
+    parts = {"classification": loss, "smoothing": 0.0}
+    if cfg.smooth_weight > 0.0:
+        smooth_total = 0.0
+        for i, s in enumerate(logits):
+            log_p = losses.log_softmax(s)
+            sm, d_log_p = losses.smoothing_loss(log_p, cfg.smooth_clip)
+            smooth_total += sm
+            scale = cfg.smooth_weight / spec.n
+            p = np.exp(log_p)
+            grads[i] += scale * (d_log_p - p * d_log_p.sum(axis=0, keepdims=True))
+        parts["smoothing"] = smooth_total / spec.n
+        loss += cfg.smooth_weight * parts["smoothing"]
+    return float(loss), grads, parts
+
+
+def random_loss_cases(rng, num_problems=40):
+    """Random problems with 1-4 groups; every group k of each, every method,
+    smoothing off and on, random tau (sometimes 0), eta and clip."""
+    for _ in range(num_problems):
+        corpus, spec, prior, _ = tiny_problem(rng, max_frames=16, max_groups=4)
+        for k in range(spec.n):
+            seq = next(s for s in corpus.sequences if spec.group_of(s) == k)
+            local = gtla.relabel_for_group(seq, spec, k)
+            logits = [rng.standard_normal((h, seq.num_frames)) * 3.0
+                      for h in spec.head_sizes()]
+            for method in losses.METHODS:
+                for smooth_weight in (0.0, float(rng.uniform(0.05, 1.0))):
+                    cfg = losses.TrainConfig(
+                        method=method, tau=float(rng.choice([0.0, rng.uniform(0.1, 1.5)])),
+                        eta=float(rng.uniform(0.0, 1.0)), smooth_weight=smooth_weight,
+                        smooth_clip=float(rng.uniform(0.5, 4.0)))
+                    yield logits, local, k, spec, prior, cfg
+
+
+class TestSinglePass:
+    def test_matches_two_pass_oracle_bit_for_bit(self):
+        seen = set()
+        cases = 0
+        for logits, local, k, spec, prior, cfg in random_loss_cases(np.random.default_rng(6)):
+            loss, grads, parts = gtla.total_loss(logits, local, k, spec, prior, cfg)
+            o_loss, o_grads, o_parts = oracle_total_loss(logits, local, k, spec, prior, cfg)
+            assert np.array_equal(loss, o_loss) and parts == o_parts
+            assert all(np.array_equal(g, o) for g, o in zip(grads, o_grads, strict=True))
+            c_loss, c_grads = gtla.gtla_loss(logits, local, k, spec, prior, cfg)
+            o_loss, o_grads = oracle_gtla_loss(logits, local, k, spec, prior, cfg)
+            assert np.array_equal(c_loss, o_loss)
+            assert all(np.array_equal(g, o) for g, o in zip(c_grads, o_grads, strict=True))
+            seen.add((spec.n, k, cfg.method, cfg.smooth_weight > 0))
+            cases += 1
+        assert cases >= 100
+        for n in (3, 4):
+            assert {(n, k, m, s) for k in range(n) for m in losses.METHODS
+                    for s in (False, True)} <= seen
+
+    @pytest.mark.parametrize("method", losses.METHODS)
+    def test_log_softmax_runs_at_most_once_per_head_plus_target(self, monkeypatch, method):
+        calls = []
+        original = losses.log_softmax
+
+        def counted(logits):
+            calls.append(logits.shape)
+            return original(logits)
+
+        monkeypatch.setattr(losses, "log_softmax", counted)
+        rng = np.random.default_rng(3)
+        for logits, local, k, spec, prior, cfg in random_loss_cases(rng, num_problems=6):
+            if cfg.method != method:
+                continue
+            calls.clear()
+            gtla.total_loss(logits, local, k, spec, prior, cfg)
+            assert len(calls) <= spec.n + 1
+            if method == "ce":
+                assert len(calls) == spec.n

@@ -13,9 +13,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
 from .data.io import read_json
@@ -42,17 +42,26 @@ def _load_json(path: str | Path, ctx: str) -> dict:
 _JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
 
 
-# JSON value types accepted for each field type; bool is never a number.
+# JSON value types accepted for each scalar field type; bool is never a number.
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
 
 
 def _typed(value, kind, ctx: str, key: str):
-    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``;
-    ``list[item]`` takes a JSON array of ``item`` values and gives a tuple."""
-    is_list = get_origin(kind) is list
-    if is_list and isinstance(value, list):
-        return tuple(_typed(v, get_args(kind)[0], ctx, key) for v in value)
-    if is_list or isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``.
+
+    A dataclass is read from an object by ``_from_json``, ``dict[str, X]`` from
+    an object of ``X`` values, and ``tuple[X, ...]`` from an array of ``X``
+    values; nested objects extend ``ctx`` with the key they sit under.
+    """
+    origin = get_origin(kind)
+    if is_dataclass(kind) and isinstance(value, dict):
+        return _from_json(kind, value, f"{ctx}: {key}")
+    if origin is dict and isinstance(value, dict):
+        return {name: _typed(item, get_args(kind)[1], f"{ctx}: {key}", name)
+                for name, item in value.items()}
+    if origin is tuple and isinstance(value, list):
+        return tuple(_typed(item, get_args(kind)[0], ctx, key) for item in value)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, ())):
         raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
     return kind(value)
 
@@ -63,14 +72,17 @@ def _get(section: dict, key: str, kind, ctx: str, default=None):
 
 
 def _from_json(cls, payload: dict, ctx: str, **given):
-    """Build ``cls`` from a config section: every defaulted field not in
-    ``given`` may appear (under its ``_JSON_NAMES`` spelling) with a value of a
-    fitting JSON type, and keeps the default when omitted."""
-    names = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls)
-             if f.default is not MISSING and f.name not in given}
+    """Build dataclass ``cls`` from a config object. Each field not in ``given``
+    is read from its key (the ``_JSON_NAMES`` spelling) as its annotated type;
+    it is required when it has no default and keeps its default when omitted."""
+    hints = get_type_hints(cls)
+    names = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
     _check_keys(payload, set(names), ctx)
-    for key, value in payload.items():
-        given[names[key].name] = _typed(value, type(names[key].default), ctx, key)
+    for key, f in names.items():
+        if key in payload:
+            given[f.name] = _typed(payload[key], hints[f.name], ctx, key)
+        elif f.default is MISSING:
+            raise ConfigError(f"{ctx}: missing key {key!r}")
     return cls(**given)
 
 
@@ -85,42 +97,17 @@ def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering
     raise ConfigError(f"--groups must be 'activity' or 'cluster:N', got {text!r}")
 
 
-def _synth_config_from_json(payload: dict, seed: int | None) -> data.SynthConfig:
-    scalars = {k: v for k, v in payload.items()
-               if k not in ("version", "activities", "durations", "similar_classes")}
-    if seed is not None:
-        scalars["seed"] = seed
-    activities = {}
-    for name, spec in _typed(payload["activities"], dict, "synth config", "activities").items():
-        ctx = f"activity {name!r}"
-        spec = _typed(spec, dict, "activities", name)
-        _check_keys(spec, {"mandatory", "optionals"}, ctx)
-        optionals = tuple(
-            data.OptionalAction(_typed(o["name"], str, ctx, "name"),
-                                _typed(o["prob"], float, ctx, "prob"),
-                                _typed(o["gaps"], list[int], ctx, "gaps"))
-            for o in _get(spec, "optionals", list[dict], ctx, ()))
-        activities[name] = data.ActivityGrammar(
-            _typed(spec["mandatory"], list[str], ctx, "mandatory"), optionals)
-    durations = {}
-    for name, spec in _typed(payload["durations"], dict, "synth config", "durations").items():
-        ctx = f"duration {name!r}"
-        spec = _typed(spec, dict, "durations", name)
-        _check_keys(spec, {"median", "sigma"}, ctx)
-        durations[name] = data.DurationModel(_typed(spec["median"], float, ctx, "median"),
-                                             _get(spec, "sigma", float, ctx, 0.0))
-    similar = _get(payload, "similar_classes", list[list[str]], "synth config", ())
-    return _from_json(data.SynthConfig, scalars, "synth config", activities=activities,
-                      durations=durations, similar_classes=similar)
-
-
 def cmd_synth(args) -> int:
     if args.preset:
         if args.preset != "longtail":
             raise ConfigError(f"unknown preset {args.preset!r}")
         cfg = data.longtail_benchmark_config(seed=args.seed or 0)
     elif args.config:
-        cfg = _synth_config_from_json(_load_json(args.config, "synth config"), args.seed)
+        payload = _load_json(args.config, "synth config")
+        cfg = _from_json(data.SynthConfig, {k: v for k, v in payload.items() if k != "version"},
+                         "synth config")
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     else:
         raise ConfigError("synth needs --config or --preset")
     train, test = data.synth_generate(cfg)
@@ -179,30 +166,24 @@ def cmd_train(args) -> int:
     out = Path(args.out or out_field or "run")
     out.mkdir(parents=True, exist_ok=True)
 
-    groups_section = _get(payload, "groups", dict, "run config", {})
-    _check_keys(groups_section, {"mode", "n", "linkage", "spec", "priors"},
-                "groups section")
-    groups = {key: _typed(value, int if key == "n" else str, "groups section", key)
-              for key, value in groups_section.items()}
+    groups = dict(_get(payload, "groups", dict, "run config", {}))
+    mode_text = _typed(groups.pop("mode", "activity"), str, "groups section", "mode")
+    files = {key: _typed(groups.pop(key), str, "groups section", key)
+             for key in ("spec", "priors") if key in groups}
+    modes = {"activity": grouping.ByActivity, "cluster": grouping.ByClustering}
+    if mode_text not in modes:
+        raise ConfigError(f"groups section: 'mode' must be 'activity' or 'cluster', "
+                          f"got {mode_text!r}")
+    mode = _from_json(modes[mode_text], groups, "groups section")
     if args.groups:
-        override = _parse_groups_mode(args.groups)
-        if isinstance(override, grouping.ByClustering):
-            groups = {"mode": "cluster", "n": override.n}
-        else:
-            groups = {"mode": "activity"}
-    if "spec" in groups:
-        spec = grouping.load_group_spec(root / groups["spec"], corpus.vocab)
+        mode, files = _parse_groups_mode(args.groups), {}
+    if "spec" in files:
+        spec = grouping.load_group_spec(root / files["spec"], corpus.vocab)
     else:
-        mode_text = groups.get("mode", "activity")
-        if mode_text == "cluster":
-            mode = grouping.ByClustering(n=groups["n"],
-                                         linkage=groups.get("linkage", "average"))
-        else:
-            mode = _parse_groups_mode(mode_text)
         spec = grouping.build_group_spec(corpus, mode)
         grouping.save_group_spec(out / "group_spec.json", spec, corpus.vocab)
-    if "priors" in groups:
-        prior = priors.load_temporal_prior(root / groups["priors"], spec, corpus.vocab)
+    if "priors" in files:
+        prior = priors.load_temporal_prior(root / files["priors"], spec, corpus.vocab)
     else:
         prior = priors.extract_priors(corpus, spec)
         priors.save_temporal_prior(out / "priors.json", prior, spec, corpus.vocab)
@@ -244,6 +225,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = data.load_corpus(args.data)
+    unknown = [name for name in args.exclude or () if name not in dataset.vocab.index]
+    if unknown:
+        raise ConfigError(f"--exclude: unknown class(es) {unknown}")
     train_corpus = data.load_corpus(args.train_data)
     spec = grouping.load_group_spec(args.spec, dataset.vocab)
     prior = priors.load_temporal_prior(args.priors, spec, dataset.vocab)

@@ -259,11 +259,19 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     for key in ("mapping", "feature_dim", "sequences"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing manifest key {key!r}")
+    dim = manifest["feature_dim"]
+    if not (isinstance(manifest["mapping"], str) and type(dim) is int
+            and isinstance(manifest["sequences"], list)):
+        raise FormatError(f"{manifest_path}: 'mapping' must be a string, 'feature_dim' "
+                          f"an integer and 'sequences' an array")
     root = manifest_path.parent
     vocab = load_mapping(root / manifest["mapping"])
-    dim = int(manifest["feature_dim"])
     sequences, features = [], []
     for entry in manifest["sequences"]:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(key), str) for key in ("id", "labels", "features"))):
+            raise FormatError(f"{manifest_path}: sequence entry {entry!r} needs string "
+                              f"'id', 'labels' and 'features'")
         seq = load_label_file(root / entry["labels"], vocab,
                               activity=entry.get("activity", ""),
                               seq_id=entry["id"])

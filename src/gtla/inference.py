@@ -31,13 +31,17 @@ class Prediction:
 
 def identify_group(logits: list[np.ndarray], spec: GroupSpec) -> int:
     """Group with the lowest mean ``others`` probability; ties pick the lowest index."""
-    means = others_probabilities(logits, spec)
-    return int(np.argmin(means))
+    return _lowest_others([softmax(s) for s in logits], spec)[0]
 
 
 def others_probabilities(logits: list[np.ndarray], spec: GroupSpec) -> np.ndarray:
-    return np.array([softmax(s)[spec.others_id(i)].mean()
-                     for i, s in enumerate(logits)])
+    return _lowest_others([softmax(s) for s in logits], spec)[1]
+
+
+def _lowest_others(probs: list[np.ndarray], spec: GroupSpec) -> tuple[int, np.ndarray]:
+    """The group rule on each head's softmax: (group, mean ``others`` probability per group)."""
+    means = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
+    return int(np.argmin(means)), means
 
 
 def decode_labels(logits: np.ndarray, spec: GroupSpec, k: int,
@@ -47,7 +51,10 @@ def decode_labels(logits: np.ndarray, spec: GroupSpec, k: int,
     The ``others`` row is excluded, so decoded labels always stay inside
     the group's class list; ties pick the lowest local index.
     """
-    probs = softmax(logits)
+    return _decode(softmax(logits), spec, k)
+
+
+def _decode(probs: np.ndarray, spec: GroupSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
     real = probs[:spec.num_real_classes(k)]
     local = real.argmax(axis=0)
     mapping = np.asarray(spec.local_to_global(k), dtype=np.int64)
@@ -56,11 +63,10 @@ def decode_labels(logits: np.ndarray, spec: GroupSpec, k: int,
 
 def predict_sequence(features, params: ModelParams, spec: GroupSpec,
                      seq_id: str = "") -> Prediction:
-    out = forward(features, params, mode="eval")
-    others = others_probabilities(out.logits, spec)
-    k = int(np.argmin(others))
-    labels, probs = decode_labels(out.logits[k], spec, k)
-    return Prediction(seq_id, k, labels, probs, others)
+    probs = [softmax(s) for s in forward(features, params, mode="eval").logits]
+    k, others = _lowest_others(probs, spec)
+    labels, winner = _decode(probs[k], spec, k)
+    return Prediction(seq_id, k, labels, winner, others)
 
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:

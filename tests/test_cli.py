@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from gtla import cli, losses, model
+from gtla import cli, data, losses, model
 
 
 def run(argv):
@@ -123,9 +124,11 @@ class TestSynthCommand:
         (("durations",), 5),
         (("similar_classes",), "idle"),
         (("similar_classes",), [["idle", 3]]),
+        (("activities", "first", "optionals", 0, "gpas"), [0]),
     ], ids=["prob-str", "gaps-str", "gaps-float", "name-int", "optionals-object",
             "mandatory-str", "activity-list", "activities-list", "median-str",
-            "sigma-str", "duration-int", "durations-int", "similar-str", "similar-int"])
+            "sigma-str", "duration-int", "durations-int", "similar-str", "similar-int",
+            "optional-key-typo"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, path, value):
         payload = json.loads(synth_config(tmp_path).read_text())
         payload["similar_classes"] = [["work", "other_work"]]
@@ -139,6 +142,34 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(path[-1]) in err
+
+    @pytest.mark.parametrize("path", [
+        ("activities",), ("durations",), ("activities", "first", "mandatory"),
+        ("durations", "work", "median"), ("activities", "first", "optionals", 0, "name"),
+        ("activities", "first", "optionals", 0, "prob"),
+        ("activities", "first", "optionals", 0, "gaps"),
+    ], ids=["activities", "durations", "mandatory", "median", "name", "prob", "gaps"])
+    def test_missing_key_is_one_error_line(self, tmp_path, capsys, path):
+        payload = json.loads(synth_config(tmp_path).read_text())
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth config") and err.count("\n") == 1
+        assert f"missing key {path[-1]!r}" in err
+
+    def test_config_from_preset_fields_matches_preset(self, tmp_path):
+        payload = {"version": 1, **dataclasses.asdict(data.longtail_benchmark_config(seed=3))}
+        cfg = tmp_path / "longtail.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert run(["synth", "--preset", "longtail", "--seed", "3",
+                    "--out", str(tmp_path / "b")]) == 0
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
     def test_missing_config_errors(self, tmp_path, capsys):
         assert run(["synth", "--config", str(tmp_path / "nope.json"),
@@ -204,6 +235,20 @@ class TestTrainEvalReport:
         ra = (a / "eval" / "report.json").read_bytes()
         rb = (b / "eval" / "report.json").read_bytes()
         assert ra == rb
+
+    def test_unknown_excluded_class_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        capsys.readouterr()
+        corpus = out / "corpus"
+        assert run(["eval", "--checkpoint", str(out / "run" / "checkpoint.ckpt"),
+                    "--data", str(corpus / "test" / "manifest.json"),
+                    "--train-data", str(corpus / "train" / "manifest.json"),
+                    "--spec", str(out / "spec.json"), "--priors", str(out / "priors.json"),
+                    "--head-threshold", "40", "--exclude", "idle", "nosuch",
+                    "--out", str(out / "e2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --exclude") and "'nosuch'" in err
+        assert err.count("\n") == 1
 
     def test_train_flag_overrides(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -303,10 +348,12 @@ class TestRunConfigSchema:
         ("groups", "mode", 5), ("groups", "linkage", 5), ("groups", "spec", 5),
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
+        ("groups", "mode", "cluster:3"),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
-            "out-int", "train-not-object", "groups-not-object", "data-not-object"])
+            "out-int", "train-not-object", "groups-not-object", "data-not-object",
+            "mode-flag-spelling"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":
@@ -318,6 +365,19 @@ class TestRunConfigSchema:
         ctx = {"train": "train section", "groups": "groups section",
                "data": "data section", None: "run config"}
         assert err.startswith(f"error: {ctx[section]}") and key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("groups, key", [
+        ({"mode": "cluster"}, "n"),
+        ({"mode": "activity", "linkage": "single"}, "linkage"),
+    ], ids=["cluster-without-n", "activity-with-linkage"])
+    def test_groups_keys_follow_the_mode(self, tmp_path, capsys, groups, key):
+        def edit(payload):
+            payload["groups"] = groups
+        code, _ = self.train_with(tmp_path, edit)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: groups section") and repr(key) in err
         assert err.count("\n") == 1
 
     def test_int_is_accepted_for_a_float_field(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gtla
-from gtla import grouping, losses, model, priors
+from gtla import data, grouping, losses, model, priors
 from gtla.errors import FormatError, TrainingError
 
 from conftest import finite_difference, max_relative_error, tiny_problem
@@ -225,6 +225,11 @@ def _edit_json(path, **values):
     path.write_text(json.dumps({**json.loads(path.read_text()), **values}))
 
 
+def _retype_feature_dim(path, kind):
+    """Keep the manifest's feature_dim value but give it another JSON type."""
+    _edit_json(path, feature_dim=kind(json.loads(path.read_text())["feature_dim"]))
+
+
 def _zero_hidden(head):
     header = json.loads(head)
     header["config"]["hidden"] = 0
@@ -244,10 +249,20 @@ def _zero_hidden(head):
     ("priors", lambda p: p.write_text('{"groups": 5}')),
     ("priors", lambda p: _edit_json(p, groups=[{"prior": 1}])),
     ("priors", lambda p: _edit_json(p, groups=[])),
+    ("manifest", lambda p: _retype_feature_dim(p / "manifest.json", str)),
+    ("manifest", lambda p: _retype_feature_dim(p / "manifest.json", float)),
+    ("manifest", lambda p: _edit_json(p / "manifest.json", sequences=[{"id": "s"}])),
+    ("manifest", lambda p: _edit_json(p / "manifest.json", sequences=[3])),
+    ("manifest", lambda p: _edit_json(p / "manifest.json",
+                                      sequences=[{"id": "s", "labels": 5, "features": "f"}])),
+    ("manifest", lambda p: _edit_json(p / "manifest.json", sequences=5)),
+    ("manifest", lambda p: _edit_json(p / "manifest.json", mapping=5)),
 ], ids=["ckpt-bad-json", "ckpt-no-config", "ckpt-bad-config", "spec-bad-json",
         "spec-not-object", "priors-bad-json", "priors-bad-utf8", "spec-wrong-type",
         "spec-wrong-container", "priors-wrong-type", "priors-wrong-entry",
-        "priors-too-few-groups"])
+        "priors-too-few-groups", "manifest-dim-str", "manifest-dim-float",
+        "manifest-entry-keys", "manifest-entry-not-object", "manifest-entry-not-string",
+        "manifest-sequences-not-array", "manifest-mapping-not-string"])
 def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
     corpus, spec, prior, params = tiny_problem(rng)
     path = tmp_path / kind
@@ -258,6 +273,8 @@ def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
                  lambda: grouping.load_group_spec(path, corpus.vocab)),
         "priors": (lambda: priors.save_temporal_prior(path, prior, spec, corpus.vocab),
                    lambda: priors.load_temporal_prior(path, spec, corpus.vocab)),
+        "manifest": (lambda: data.write_corpus(corpus, path),
+                     lambda: data.load_corpus(path / "manifest.json")),
     }[kind]
     save()
     load()  # the intact file loads

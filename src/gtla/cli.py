@@ -10,7 +10,6 @@ with a one-line diagnostic on malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
-from .data.io import read_json
+from .data.io import read_json, write_json
 from .errors import ConfigError, GtlaError
 
 
@@ -83,7 +82,10 @@ def _from_json(cls, payload: dict, ctx: str, **given):
             given[f.name] = _typed(payload[key], hints[f.name], ctx, key)
         elif f.default is MISSING:
             raise ConfigError(f"{ctx}: missing key {key!r}")
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering:
@@ -214,10 +216,8 @@ def cmd_train(args) -> int:
     model.save_checkpoint(ckpt, state.params, step=state.adam.t, adam=state.adam,
                           extra={"train_config": train_cfg.to_dict(),
                                  "train_state": state.rng_payload()})
-    log_path = out / "train_log.json"
-    log_path.write_text(json.dumps({"version": 1, "loss": state.history,
-                                    "train_config": train_cfg.to_dict()},
-                                   indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "train_log.json", {"version": 1, "loss": state.history,
+                                        "train_config": train_cfg.to_dict()})
     print(f"trained {train_cfg.epochs} epoch(s), final loss "
           f"{state.history[-1]:.4f} -> {ckpt}")
     return 0
@@ -234,12 +234,7 @@ def cmd_eval(args) -> int:
     params, _, _ = model.load_checkpoint(args.checkpoint)
 
     predictions = inference.predict_corpus(params, dataset, spec)
-    gt_groups = []
-    for seq in dataset.sequences:
-        if spec.mode == "activity":
-            gt_groups.append(spec.group_of(seq))
-        else:
-            gt_groups.append(spec.nearest_group(seq, dataset.vocab))
+    gt_groups = [spec.nearest_group(seq, dataset.vocab) for seq in dataset.sequences]
 
     split = metrics.head_tail_split(train_corpus, args.head_threshold)
     excluded = tuple(dataset.vocab.id_of(name) for name in args.exclude or ())
@@ -267,34 +262,40 @@ _REPORT_COLUMNS = [
 ]
 
 
-def _dig(payload: dict, path: tuple) -> float:
+def _report_value(payload: dict, path: tuple[str, ...], kind, ctx: str):
+    """The value at ``path`` in a metrics report, read as ``kind`` by ``_typed``."""
     value = payload
-    for key in path:
-        value = value[key]
-    return float(value)
+    for depth, key in enumerate(path, 1):
+        where = ".".join(path[:depth])
+        if key not in value:
+            raise ConfigError(f"{ctx}: missing key {where!r}")
+        value = _typed(value[key], kind if depth == len(path) else dict, ctx, where)
+    return value
 
 
 def cmd_report(args) -> int:
-    reports = []
+    reports = []  # (name, column values, fp_taxonomy counts) per report
     for path in args.reports:
-        payload = _load_json(path, "metrics report")
-        reports.append((Path(path).stem, payload))
-    if not reports:
-        raise ConfigError("no reports given")
+        ctx = f"metrics report {path}"
+        payload = _load_json(path, ctx)
+        reports.append((Path(path).stem,
+                        {label: _report_value(payload, keys, float, ctx)
+                         for label, keys in _REPORT_COLUMNS},
+                        {key: _report_value(payload, ("fp_taxonomy", key), int, ctx)
+                         for key in ("fp1", "fp2", "fp3", "tp")}))
 
     rows = []
-    base_name, base = reports[0]
-    for name, payload in reports:
+    base_name, base, _ = reports[0]
+    for name, columns, counts in reports:
         row = {"name": name}
-        for label, path in _REPORT_COLUMNS:
-            value = _dig(payload, path)
+        for label, value in columns.items():
             row[label] = value
-            row[f"delta {label}"] = value - _dig(base, path)
-        for key in ("fp1", "fp2", "fp3", "tp"):
-            row[f"fp_taxonomy {key}"] = payload["fp_taxonomy"][key]
+            row[f"delta {label}"] = value - base[label]
+        for key, count in counts.items():
+            row[f"fp_taxonomy {key}"] = count
         rows.append(row)
 
-    width = max(len(name) for name, _ in reports)
+    width = max(len(name) for name, _, _ in reports)
     header = "model".ljust(width) + "".join(f"{label:>16}" for label, _ in _REPORT_COLUMNS)
     lines = [header]
     for idx, row in enumerate(rows):
@@ -308,9 +309,8 @@ def cmd_report(args) -> int:
     print(table)
     if args.out:
         Path(args.out).with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
-        Path(args.out).with_suffix(".json").write_text(
-            json.dumps({"version": 1, "baseline": base_name, "rows": rows},
-                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(Path(args.out).with_suffix(".json"),
+                   {"version": 1, "baseline": base_name, "rows": rows})
     return 0
 
 

@@ -236,9 +236,14 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         "sequences": entries,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    write_json(manifest_path, manifest)
     return manifest_path
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as UTF-8 JSON: indent 2, sorted keys, trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def read_json(path: str | Path) -> dict:

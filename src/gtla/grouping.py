@@ -9,14 +9,13 @@ distributions under a symmetric KL distance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq
-from .data.io import read_json
+from .data.io import read_json, write_json
 from .errors import ConfigError, FormatError
 
 KL_FLOOR = 1e-8
@@ -260,7 +259,7 @@ def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
         classes = tuple(tuple(vocab.id_of(name) for name in cls)
                         for cls in payload["classes_of_group"])
         centroids = payload.get("centroids")
-        return GroupSpec(
+        spec = GroupSpec(
             n=int(payload["n"]),
             mode=payload["mode"],
             classes_of_group=classes,
@@ -271,12 +270,21 @@ def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
         )
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed group spec: {type(exc).__name__} {exc}") from exc
+    if not len(classes) == len(spec.group_weights) == spec.n:
+        raise FormatError(f"group spec has n = {spec.n} but {len(classes)} class lists "
+                          f"and {len(spec.group_weights)} weights")
+    if spec.centroids and (len(spec.centroids) != spec.n
+                           or any(len(c) != len(vocab) for c in spec.centroids)):
+        raise FormatError(f"group spec needs {spec.n} centroids of {len(vocab)} values")
+    ids = {*spec.group_of_activity.values(), *spec.group_of_sequence.values()}
+    outside = sorted(k for k in ids if not 0 <= k < spec.n)
+    if outside:
+        raise FormatError(f"group spec assigns group id(s) {outside} outside 0..{spec.n - 1}")
+    return spec
 
 
 def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
-    Path(path).write_text(
-        json.dumps(group_spec_to_dict(spec, vocab), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, group_spec_to_dict(spec, vocab))
 
 
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:

@@ -8,13 +8,13 @@ post-processing are applied at inference time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, write_label_file
+from .data.io import write_json
 from .grouping import GroupSpec
 from .losses import softmax
 from .model import ModelParams, forward
@@ -89,5 +89,4 @@ def write_predictions(predictions: list[Prediction], vocab: ClassVocab,
         write_label_file(out / f"{pred.seq_id}.txt", seq, vocab)
         sidecar = {"id": pred.seq_id, "group": pred.group,
                    "others_prob": [float(p) for p in pred.others_prob]}
-        (out / f"{pred.seq_id}.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(out / f"{pred.seq_id}.json", sidecar)

@@ -37,6 +37,8 @@ class TrainConfig:
             raise ConfigError("tau, eta and smooth_weight must be >= 0")
         if self.smooth_clip <= 0:
             raise ConfigError("smooth_clip must be > 0")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -11,7 +11,6 @@ segments are further split into activity-irrelevant (FP1), order-violating
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Corpus, Segment, segments_from_frames
+from .data.io import write_json
 from .grouping import GroupSpec, relabel_for_group
 from .inference import Prediction
 from .priors import TemporalPrior, bounds_matrix
@@ -277,11 +277,8 @@ class MetricsReport:
             "per_class": self.per_class,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_json(path, self.to_dict())
 
 
 def compute_report(predictions: Sequence[Prediction], dataset: Corpus,

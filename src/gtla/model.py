@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -91,9 +91,6 @@ class ModelParams:
     def __post_init__(self):
         self.values = FlatTensors(self.cfg, self.values)
 
-    def zero_grads(self) -> FlatTensors:
-        return FlatTensors(self.cfg)
-
     def copy(self) -> "ModelParams":
         return ModelParams(self.cfg, self.values)
 
@@ -150,7 +147,6 @@ class Tape:
 
 @dataclass
 class Forward:
-    z: np.ndarray
     logits: list[np.ndarray]
     tape: Tape
 
@@ -197,8 +193,7 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
 
     logits = [p[f"head{i}.w"].T @ z + p[f"head{i}.b"][:, None]
               for i in range(len(cfg.head_sizes))]
-    tape = Tape(params, x, layer_inputs, layer_pre, layer_masks, z)
-    return Forward(z, logits, tape)
+    return Forward(logits, Tape(params, x, layer_inputs, layer_pre, layer_masks, z))
 
 
 def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
@@ -236,38 +231,32 @@ def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
     return grads
 
 
-@dataclass
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
-    _scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+    """Adam moments ``m`` and ``v`` laid out like the parameters, and the step count."""
+
+    def __init__(self, cfg: BackboneConfig, t: int = 0):
+        self.m, self.v, self.t = FlatTensors(cfg), FlatTensors(cfg), t
+        self._scratch = np.empty((2, self.m.flat.size))
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float = 5e-4, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One Adam update, in place over the flat buffers (moments are adopted into
-    FlatTensors), per element in the order m = b1*m + (1-b1)*g,
-    v = b2*v + ((1-b2)*g)*g, p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
-    layout = params.values.layout
-    if getattr(grads, "layout", None) is not layout:
-        grads = FlatTensors(params.cfg, grads)
+def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState,
+              lr: float = 5e-4) -> None:
+    """One Adam update, in place over the flat buffers, per element in the order
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
     g = grads.flat
     if not np.isfinite(g).all():
         name = next(n for n, arr in grads.items() if not np.isfinite(arr).all())
         raise TrainingError(f"non-finite gradient in {name!r} at step {state.t + 1}")
-    if getattr(state.m, "layout", None) is not layout:  # fresh, or loaded from a checkpoint
-        state.m = FlatTensors(params.cfg, state.m or None)
-        state.v = FlatTensors(params.cfg, state.v or None)
-        state._scratch = np.empty((2, g.size))
     state.t += 1
     m, v, (a, b) = state.m.flat, state.v.flat, state._scratch
-    np.add(np.multiply(m, beta1, out=m), np.multiply(g, 1.0 - beta1, out=a), out=m)
-    np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-    np.add(np.multiply(v, beta2, out=v), a, out=v)
-    np.multiply(np.divide(m, 1.0 - beta1 ** state.t, out=a), lr, out=a)
-    np.add(np.sqrt(np.divide(v, 1.0 - beta2 ** state.t, out=b), out=b), eps, out=b)
+    np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(g, 1.0 - ADAM_BETA1, out=a), out=m)
+    np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a)
+    np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
+    np.multiply(np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=a), lr, out=a)
+    np.add(np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=b), out=b), ADAM_EPS, out=b)
     params.values.flat -= np.divide(a, b, out=a)
 
 
@@ -287,7 +276,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
 
     for name, arr in params.values.items():
         add(name, arr)
-    if adam is not None and adam.m:
+    if adam is not None and adam.t > 0:
         for name, arr in adam.m.items():
             add(f"adam.m.{name}", arr)
         for name, arr in adam.v.items():
@@ -331,15 +320,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
             flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
             arrays[spec["name"]] = flat.reshape(spec["shape"]).astype(np.float64)
         params = ModelParams(cfg, arrays)
-        adam = AdamState(t=int(header.get("adam_t", 0)))
+        adam = AdamState(cfg, t=int(header.get("adam_t", 0)))
+        if adam.t:  # save_checkpoint writes every moment tensor once Adam has stepped
+            for prefix, moment in (("adam.m.", adam.m), ("adam.v.", adam.v)):
+                for name, view in moment.items():
+                    view[...] = np.reshape(arrays[prefix + name], view.shape)
         extra = {**header["extra"], "step": header.get("step", 0)}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid checkpoint header "
                           f"({type(exc).__name__}: {exc})") from exc
-    if any(name.startswith("adam.m.") for name in arrays):
-        adam.m = {name[len("adam.m."):]: arr for name, arr in arrays.items()
-                  if name.startswith("adam.m.")}
-        adam.v = {name[len("adam.v."):]: arr for name, arr in arrays.items()
-                  if name.startswith("adam.v.")}
     return params, adam, extra
 

@@ -8,7 +8,6 @@ gate the logit adjustment during training.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
-from .data.io import read_json
+from .data.io import read_json, write_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -192,10 +191,7 @@ def temporal_prior_from_dict(payload: dict, spec: GroupSpec,
 
 def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
                         vocab: ClassVocab) -> None:
-    Path(path).write_text(
-        json.dumps(temporal_prior_to_dict(prior, spec, vocab),
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    write_json(path, temporal_prior_to_dict(prior, spec, vocab))
 
 
 def load_temporal_prior(path: str | Path, spec: GroupSpec,

@@ -40,25 +40,24 @@ def _substream(seed: int, name: str) -> np.random.Generator:
 class TrainState:
     params: ModelParams
     adam: AdamState
+    dropout_rng: np.random.Generator
+    order_rng: np.random.Generator
     epoch: int = 0
     history: list[float] = field(default_factory=list)
-    dropout_rng: np.random.Generator | None = None
-    order_rng: np.random.Generator | None = None
 
     def rng_payload(self) -> dict:
         return {
-            "dropout": self.dropout_rng.bit_generator.state if self.dropout_rng else None,
-            "order": self.order_rng.bit_generator.state if self.order_rng else None,
+            "dropout": self.dropout_rng.bit_generator.state,
+            "order": self.order_rng.bit_generator.state,
             "epoch": self.epoch,
             "history": self.history,
         }
 
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":
-        state = TrainState(params, adam, epoch=int(payload.get("epoch", 0)),
+        state = TrainState(params, adam, np.random.default_rng(0), np.random.default_rng(0),
+                           epoch=int(payload.get("epoch", 0)),
                            history=list(payload.get("history", [])))
-        state.dropout_rng = np.random.default_rng(0)
-        state.order_rng = np.random.default_rng(0)
         if payload.get("dropout"):
             state.dropout_rng.bit_generator.state = payload["dropout"]
         if payload.get("order"):
@@ -67,11 +66,9 @@ class TrainState:
 
 
 def init_train_state(train_cfg: TrainConfig, backbone: BackboneConfig) -> TrainState:
-    params = init_params(backbone, _substream(train_cfg.seed, "init"))
-    state = TrainState(params, AdamState())
-    state.dropout_rng = _substream(train_cfg.seed, "dropout")
-    state.order_rng = _substream(train_cfg.seed, "order")
-    return state
+    return TrainState(init_params(backbone, _substream(train_cfg.seed, "init")),
+                      AdamState(backbone), _substream(train_cfg.seed, "dropout"),
+                      _substream(train_cfg.seed, "order"))
 
 
 def train_epoch(state: TrainState, train: Corpus, spec: GroupSpec,

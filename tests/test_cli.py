@@ -342,14 +342,14 @@ class TestRunConfigSchema:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "tau", "high"), ("train", "tau", "0.3"),
-        ("train", "epochs", 1.9), ("train", "epochs", True),
+        ("train", "epochs", 1.9), ("train", "epochs", True), ("train", "epochs", 0),
         (None, "seed", 7.9), (None, "seed", "7"), (None, "seed", True),
         ("groups", "n", 2.5), ("groups", "n", "2"), ("groups", "n", True),
         ("groups", "mode", 5), ("groups", "linkage", 5), ("groups", "spec", 5),
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
         ("groups", "mode", "cluster:3"),
-    ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool",
+    ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
@@ -387,3 +387,51 @@ class TestRunConfigSchema:
         assert code == 0
         logged = json.loads((out / "train_log.json").read_text())["train_config"]
         assert logged["tau"] == 1.0 and isinstance(logged["tau"], float)
+
+
+class TestReportCommand:
+    """`gtla report` reads every column and count through one checked path."""
+
+    def write_report(self, tmp_path, name="r", edit=lambda payload: None):
+        payload = {
+            "version": 1,
+            "global": {"mof": 80, "edit": 50.5, "f1@0.25": 40.0},
+            "balanced": {"recall": {"head": 90.0, "tail": 10.0, "hmean": 18.0},
+                         "f1@0.25": {"hmean": 12.5}},
+            "fp_taxonomy": {"fp1": 1, "fp2": 2, "fp3": 3, "tp": 4},
+        }
+        edit(payload)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_valid_reports_compare(self, tmp_path, capsys):
+        base = self.write_report(tmp_path, "base")
+        other = self.write_report(
+            tmp_path, "other", lambda p: p["global"].update(mof=82.5))
+        assert run(["report", str(base), str(other), "--out", str(tmp_path / "cmp")]) == 0
+        rows = json.loads((tmp_path / "cmp.json").read_text())["rows"]
+        assert rows[1]["global mof"] == 82.5 and rows[1]["delta global mof"] == 2.5
+        assert rows[1]["fp_taxonomy tp"] == 4
+        assert "82.5 (+2.5)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda p: p["global"].pop("edit"), "global.edit"),
+        (lambda p: p["global"].update(mof="x"), "global.mof"),
+        (lambda p: p["global"].update(mof=True), "global.mof"),
+        (lambda p: p["balanced"].update(recall=[1, 2]), "balanced.recall"),
+        (lambda p: p.pop("balanced"), "balanced"),
+        (lambda p: p["fp_taxonomy"].pop("fp2"), "fp_taxonomy.fp2"),
+        (lambda p: p["fp_taxonomy"].update(tp="4"), "fp_taxonomy.tp"),
+        (lambda p: p["fp_taxonomy"].update(tp=4.5), "fp_taxonomy.tp"),
+        (lambda p: p.update(fp_taxonomy=5), "fp_taxonomy"),
+    ], ids=["missing-column", "column-str", "column-bool", "section-not-object",
+            "missing-section", "missing-count", "count-str", "count-float",
+            "counts-not-object"])
+    def test_bad_report_is_one_error_line(self, tmp_path, capsys, edit, where):
+        base = self.write_report(tmp_path, "base")
+        bad = self.write_report(tmp_path, "bad", edit)
+        assert run(["report", str(base), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metrics report {bad}") and repr(where) in err
+        assert err.count("\n") == 1

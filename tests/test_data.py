@@ -276,3 +276,10 @@ def test_load_corpus_frame_mismatch_rejected(tmp_path):
     data.write_features(tmp_path / "features" / f"{entry.id}.feat", short)
     with pytest.raises(FormatError, match="frames"):
         data.load_corpus(manifest)
+
+
+def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
+    path = tmp_path / "out.json"
+    data.io.write_json(path, {"b": 1, "a": [2.5, "é"]})
+    assert path.read_bytes() == b'{\n  "a": [\n    2.5,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
+    assert data.io.read_json(path) == {"a": [2.5, "é"], "b": 1}

@@ -7,7 +7,9 @@ bounds (the scalar oracle kept in ``test_priors``). The flat core keeps every fl
 order, so results must be equal bit for bit, not merely close.
 """
 
+import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,7 +72,7 @@ def ref_forward(features, params, mode="eval", dropout_rng=None):
     tape["z"] = z
     logits = [p[f"head{i}.w"].T @ z + p[f"head{i}.b"][:, None]
               for i in range(len(cfg.head_sizes))]
-    return model.Forward(z, logits, tape)
+    return model.Forward(logits, tape)
 
 
 def ref_backward(tape, d_logits):
@@ -99,9 +101,7 @@ def ref_backward(tape, d_logits):
 
 
 def ref_adam_step(params, grads, state, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    if not state.m:
-        state.m = {name: np.zeros_like(arr) for name, arr in params.values.items()}
-        state.v = {name: np.zeros_like(arr) for name, arr in params.values.items()}
+    """Per-tensor Adam over any state with dict-like ``m``/``v`` (rebinds their names)."""
     state.t += 1
     for name, value in params.values.items():
         g = grads[name]
@@ -141,7 +141,7 @@ def test_forward_and_backward_match_padding_reference(dropout, frames):
     mode = "train" if dropout else "eval"
     out = gtla.forward(x, params, mode=mode, dropout_rng=np.random.default_rng(1))
     ref = ref_forward(x, params, mode=mode, dropout_rng=np.random.default_rng(1))
-    assert np.array_equal(out.z, ref.z)
+    assert np.array_equal(out.tape.z, ref.tape["z"])
     for got, want in zip(out.logits, ref.logits):
         assert np.array_equal(got, want)
     d_logits = [data.standard_normal(l.shape) for l in out.logits]
@@ -160,40 +160,74 @@ def test_gradients_are_views_into_one_flat_buffer(rng):
     assert 123.0 in params.values.flat
 
 
+def ref_state(state):
+    """Per-tensor copy of an AdamState for ``ref_adam_step``."""
+    return SimpleNamespace(m={n: a.copy() for n, a in state.m.items()},
+                           v={n: a.copy() for n, a in state.v.items()}, t=state.t)
+
+
+def random_grads(params, rng, scale=1.0):
+    grads = model.FlatTensors(params.cfg)
+    grads.flat[...] = rng.standard_normal(grads.flat.size) * scale
+    return grads
+
+
 def test_adam_matches_per_tensor_reference_over_five_steps(rng):
     params = gtla.init_params(backbone(0.0))
     ref_params = params.copy()
-    state, ref_state = gtla.AdamState(), gtla.AdamState()
+    state = gtla.AdamState(params.cfg)
+    ref = ref_state(state)
     for step in range(5):
-        grads = {n: rng.standard_normal(v.shape) * 10.0 ** (step - 2)
-                 for n, v in params.values.items()}
-        # Alternate a plain dict and a flat gradient buffer.
-        gtla.adam_step(params, grads if step % 2 else model.FlatTensors(params.cfg, grads),
-                       state, lr=1e-3)
-        ref_adam_step(ref_params, grads, ref_state, lr=1e-3)
-    assert state.t == ref_state.t == 5
+        grads = random_grads(params, rng, 10.0 ** (step - 2))
+        gtla.adam_step(params, grads, state, lr=1e-3)
+        ref_adam_step(ref_params, grads, ref, lr=1e-3)
+    assert state.t == ref.t == 5
     assert_tensors_equal(params.values, ref_params.values)
-    assert_tensors_equal(state.m, ref_state.m)
-    assert_tensors_equal(state.v, ref_state.v)
+    assert_tensors_equal(state.m, ref.m)
+    assert_tensors_equal(state.v, ref.v)
 
 
 def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
     params = gtla.init_params(backbone(0.0))
-    state = gtla.AdamState()
-    steps = [{n: rng.standard_normal(v.shape) for n, v in params.values.items()}
-             for _ in range(3)]
+    state = gtla.AdamState(params.cfg)
+    steps = [random_grads(params, rng) for _ in range(3)]
     gtla.adam_step(params, steps[0], state)
     model.save_checkpoint(tmp_path / "c.ckpt", params, step=1, adam=state)
     loaded, adam, _ = model.load_checkpoint(tmp_path / "c.ckpt")
-    ref_params, ref_adam = loaded.copy(), gtla.AdamState(
-        {n: a.copy() for n, a in adam.m.items()}, {n: a.copy() for n, a in adam.v.items()}, adam.t)
+    assert adam.t == 1
+    for saved, moment in ((state.m, adam.m), (state.v, adam.v)):
+        assert isinstance(moment, model.FlatTensors)
+        assert_tensors_equal(moment, {n: a.astype(np.float32).astype(np.float64)
+                                      for n, a in saved.items()})
+    ref_params, ref = loaded.copy(), ref_state(adam)
+    buffers = (adam.m.flat, adam.v.flat)
     for grads in steps[1:]:
         gtla.adam_step(loaded, grads, adam)
-        ref_adam_step(ref_params, grads, ref_adam)
+        ref_adam_step(ref_params, grads, ref)
+    # Updated in place: every named moment is still a view of the same buffer.
+    for moment, flat in zip((adam.m, adam.v), buffers):
+        assert moment.flat is flat
+        assert all(np.shares_memory(arr, flat) for arr in moment.values())
     assert adam.t == 3
     assert_tensors_equal(loaded.values, ref_params.values)
-    assert_tensors_equal(adam.m, ref_adam.m)
-    assert_tensors_equal(adam.v, ref_adam.v)
+    assert_tensors_equal(adam.m, ref.m)
+    assert_tensors_equal(adam.v, ref.v)
+
+
+def test_checkpoint_missing_a_moment_tensor_raises_format_error(tmp_path, rng):
+    params = gtla.init_params(backbone(0.0))
+    state = gtla.AdamState(params.cfg)
+    gtla.adam_step(params, random_grads(params, rng), state)
+    path = tmp_path / "c.ckpt"
+    model.save_checkpoint(path, params, step=1, adam=state)
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    header["tensors"] = [t for t in header["tensors"] if t["name"] != "adam.v.in.b"]
+    head = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + n:])
+    with pytest.raises(FormatError, match="adam.v.in.b"):
+        model.load_checkpoint(path)
 
 
 def test_two_epochs_of_training_match_the_reference_path(monkeypatch):
@@ -254,9 +288,8 @@ def test_factor_matrix_matches_reference_with_empty_ordering_sets():
 
 def test_truncated_checkpoints_raise_format_error(tmp_path, rng):
     params = gtla.init_params(backbone(0.0))
-    state = gtla.AdamState()
-    gtla.adam_step(params, {n: rng.standard_normal(v.shape)
-                            for n, v in params.values.items()}, state)
+    state = gtla.AdamState(params.cfg)
+    gtla.adam_step(params, random_grads(params, rng), state)
     path = tmp_path / "full.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state)
     blob = path.read_bytes()

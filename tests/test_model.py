@@ -135,7 +135,7 @@ def test_adam_zero_gradient_is_noop():
     cfg = small_config()
     params = gtla.init_params(cfg)
     before = params.copy()
-    gtla.adam_step(params, params.zero_grads(), gtla.AdamState())
+    gtla.adam_step(params, model.FlatTensors(cfg), gtla.AdamState(cfg))
     for name in params.values:
         assert np.array_equal(params.values[name], before.values[name])
 
@@ -144,8 +144,9 @@ def test_adam_first_step_magnitude_is_lr_signed(rng):
     cfg = small_config()
     params = gtla.init_params(cfg)
     before = params.copy()
-    grads = {name: rng.standard_normal(v.shape) for name, v in params.values.items()}
-    gtla.adam_step(params, grads, gtla.AdamState(), lr=5e-4)
+    grads = model.FlatTensors(cfg, {n: rng.standard_normal(v.shape)
+                                    for n, v in params.values.items()})
+    gtla.adam_step(params, grads, gtla.AdamState(cfg), lr=5e-4)
     for name in params.values:
         delta = params.values[name] - before.values[name]
         big = np.abs(grads[name]) > 1e-3
@@ -155,10 +156,10 @@ def test_adam_first_step_magnitude_is_lr_signed(rng):
 def test_adam_rejects_non_finite_gradients():
     cfg = small_config()
     params = gtla.init_params(cfg)
-    grads = params.zero_grads()
+    grads = model.FlatTensors(cfg)
     grads["in.w"][0, 0] = np.nan
     with pytest.raises(TrainingError, match="in.w"):
-        gtla.adam_step(params, grads, gtla.AdamState())
+        gtla.adam_step(params, grads, gtla.AdamState(cfg))
 
 
 def test_adam_trajectory_is_deterministic(rng):
@@ -166,11 +167,11 @@ def test_adam_trajectory_is_deterministic(rng):
 
     def run():
         params = gtla.init_params(cfg)
-        state = gtla.AdamState()
+        state = gtla.AdamState(cfg)
         step_rng = np.random.default_rng(9)
         for _ in range(4):
-            grads = {n: step_rng.standard_normal(v.shape)
-                     for n, v in params.values.items()}
+            grads = model.FlatTensors(cfg)
+            grads.flat[...] = step_rng.standard_normal(grads.flat.size)
             gtla.adam_step(params, grads, state)
         return params
 
@@ -182,8 +183,9 @@ def test_adam_trajectory_is_deterministic(rng):
 def test_checkpoint_roundtrip(tmp_path, rng):
     cfg = small_config(seed=8)
     params = gtla.init_params(cfg)
-    state = gtla.AdamState()
-    grads = {n: rng.standard_normal(v.shape) for n, v in params.values.items()}
+    state = gtla.AdamState(cfg)
+    grads = model.FlatTensors(cfg)
+    grads.flat[...] = rng.standard_normal(grads.flat.size)
     gtla.adam_step(params, grads, state)
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state, extra={"note": "x"})
@@ -225,6 +227,13 @@ def _edit_json(path, **values):
     path.write_text(json.dumps({**json.loads(path.read_text()), **values}))
 
 
+def _edit_payload(path, edit):
+    """Apply edit(payload) to a JSON file's parsed payload in place."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
 def _retype_feature_dim(path, kind):
     """Keep the manifest's feature_dim value but give it another JSON type."""
     _edit_json(path, feature_dim=kind(json.loads(path.read_text())["feature_dim"]))
@@ -246,6 +255,10 @@ def _zero_hidden(head):
     ("priors", lambda p: p.write_bytes(b"\xff\xfe")),
     ("spec", lambda p: _edit_json(p, classes_of_group=3)),
     ("spec", lambda p: _edit_json(p, group_of_activity=[])),
+    ("spec", lambda p: _edit_payload(p, lambda d: d.update(n=d["n"] - 1))),
+    ("spec", lambda p: _edit_payload(p, lambda d: d["group_weights"].append(1.0))),
+    ("spec", lambda p: _edit_payload(p, lambda d: d["group_of_activity"].update(act0=7))),
+    ("spec", lambda p: _edit_payload(p, lambda d: d.update(centroids=[[1.0]] * (d["n"] + 1)))),
     ("priors", lambda p: p.write_text('{"groups": 5}')),
     ("priors", lambda p: _edit_json(p, groups=[{"prior": 1}])),
     ("priors", lambda p: _edit_json(p, groups=[])),
@@ -259,7 +272,8 @@ def _zero_hidden(head):
     ("manifest", lambda p: _edit_json(p / "manifest.json", mapping=5)),
 ], ids=["ckpt-bad-json", "ckpt-no-config", "ckpt-bad-config", "spec-bad-json",
         "spec-not-object", "priors-bad-json", "priors-bad-utf8", "spec-wrong-type",
-        "spec-wrong-container", "priors-wrong-type", "priors-wrong-entry",
+        "spec-wrong-container", "spec-n-not-group-count", "spec-extra-weight",
+        "spec-group-id-out-of-range", "spec-bad-centroids", "priors-wrong-type", "priors-wrong-entry",
         "priors-too-few-groups", "manifest-dim-str", "manifest-dim-float",
         "manifest-entry-keys", "manifest-entry-not-object", "manifest-entry-not-string",
         "manifest-sequences-not-array", "manifest-mapping-not-string"])

@@ -166,7 +166,6 @@ def cmd_train(args) -> int:
 
     out_field = _get(payload, "out", str, "run config")
     out = Path(args.out or out_field or "run")
-    out.mkdir(parents=True, exist_ok=True)
 
     groups = dict(_get(payload, "groups", dict, "run config", {}))
     mode_text = _typed(groups.pop("mode", "activity"), str, "groups section", "mode")
@@ -183,12 +182,10 @@ def cmd_train(args) -> int:
         spec = grouping.load_group_spec(root / files["spec"], corpus.vocab)
     else:
         spec = grouping.build_group_spec(corpus, mode)
-        grouping.save_group_spec(out / "group_spec.json", spec, corpus.vocab)
     if "priors" in files:
         prior = priors.load_temporal_prior(root / files["priors"], spec, corpus.vocab)
     else:
         prior = priors.extract_priors(corpus, spec)
-        priors.save_temporal_prior(out / "priors.json", prior, spec, corpus.vocab)
 
     backbone = _from_json(model.BackboneConfig, _get(payload, "backbone", dict, "run config", {}),
                           "backbone section", in_dim=corpus.feature_dim,
@@ -210,6 +207,11 @@ def cmd_train(args) -> int:
         state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
     else:
         state = training.init_train_state(train_cfg, backbone)
+    out.mkdir(parents=True, exist_ok=True)
+    if "spec" not in files:
+        grouping.save_group_spec(out / "group_spec.json", spec, corpus.vocab)
+    if "priors" not in files:
+        priors.save_temporal_prior(out / "priors.json", prior, spec, corpus.vocab)
     state = training.train_model(corpus, spec, prior, backbone, train_cfg, state)
 
     ckpt = out / "checkpoint.ckpt"

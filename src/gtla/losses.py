@@ -45,8 +45,9 @@ class TrainConfig:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=0, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0, keepdims=True))
+    return shifted
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -64,7 +65,8 @@ def _ce(log_p: np.ndarray, p: np.ndarray, labels) -> tuple[float, np.ndarray]:
     frames = np.arange(log_p.shape[1])
     grad = p.copy()
     grad[labels, frames] -= 1.0
-    return float(-log_p[labels, frames].mean()), grad / frames.size
+    grad /= frames.size
+    return float(-(np.add.reduce(log_p[labels, frames]) / frames.size)), grad
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -78,16 +80,15 @@ def smoothing_loss(log_probs: np.ndarray, clip: float = 4.0) -> tuple[float, np.
     Differences above the clip contribute clip**2 with zero gradient. The
     gradient is returned w.r.t. the log-probabilities.
     """
-    num_classes, num_frames = log_probs.shape
     grad = np.zeros_like(log_probs)
-    if num_frames < 2:
+    if log_probs.shape[1] < 2:
         return 0.0, grad
     diff = log_probs[:, 1:] - log_probs[:, :-1]
     mag = np.abs(diff)
     clipped = np.minimum(mag, clip)
-    count = num_classes * (num_frames - 1)
-    loss = float(np.sum(clipped ** 2) / count)
-    d_diff = np.where(mag <= clip, 2.0 * diff, 0.0) / count
+    loss = float(np.add.reduce(np.square(clipped, out=clipped), axis=None) / diff.size)
+    d_diff = np.divide(np.multiply(diff, 2.0, out=diff), diff.size, out=diff)
+    np.putmask(d_diff, ~(mag <= clip), 0.0)  # a NaN difference counts as clipped
     grad[:, 1:] += d_diff
     grad[:, :-1] -= d_diff
     return loss, grad
@@ -149,12 +150,13 @@ def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: Group
     alpha = spec.group_weights[k]
     loss, grad = _ce(*target, labels)
     loss *= alpha
-    grads = [alpha * grad if i == k else None for i in range(spec.n)]
+    grad *= alpha
+    grads = [grad if i == k else None for i in range(spec.n)]
     for i, (log_p, p) in enumerate(heads):
         if i != k:
-            term, grad = _ce(log_p, p, spec.others_id(i))
+            term, grads[i] = _ce(log_p, p, spec.others_id(i))
             loss += cfg.eta * term
-            grads[i] = cfg.eta * grad
+            grads[i] *= cfg.eta
     parts = {"classification": float(loss), "smoothing": 0.0}
     if cfg.smooth_weight > 0.0:
         scale = cfg.smooth_weight / spec.n
@@ -162,7 +164,8 @@ def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: Group
         for (log_p, p), grad in zip(heads, grads):
             term, d_log_p = smoothing_loss(log_p, cfg.smooth_clip)
             smooth_total += term
-            grad += scale * (d_log_p - p * d_log_p.sum(axis=0, keepdims=True))
+            d_log_p -= p * np.add.reduce(d_log_p, axis=0, keepdims=True)
+            grad += np.multiply(d_log_p, scale, out=d_log_p)
         parts["smoothing"] = smooth_total / spec.n
         loss += cfg.smooth_weight * parts["smoothing"]
     return float(loss), grads, parts

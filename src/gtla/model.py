@@ -109,30 +109,6 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> 
     return ModelParams(cfg, values)
 
 
-def _dilated_conv(padded: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    # padded: C_in x (T + 2d) input with d zero frames each side, w: C_out x C_in x 3
-    num_frames = padded.shape[1] - 2 * d
-    out = (w[:, :, 0] @ padded[:, :num_frames]
-           + w[:, :, 1] @ padded[:, d:d + num_frames]
-           + w[:, :, 2] @ padded[:, 2 * d:2 * d + num_frames])
-    return out + b[:, None]
-
-
-def _dilated_conv_backward(padded: np.ndarray, w: np.ndarray, d_out: np.ndarray,
-                           d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    num_frames = padded.shape[1] - 2 * d
-    d_w = np.empty_like(w)
-    d_w[:, :, 0] = d_out @ padded[:, :num_frames].T
-    d_w[:, :, 1] = d_out @ padded[:, d:d + num_frames].T
-    d_w[:, :, 2] = d_out @ padded[:, 2 * d:2 * d + num_frames].T
-    d_b = d_out.sum(axis=1)
-    d_padded = np.zeros_like(padded)
-    d_padded[:, :num_frames] += w[:, :, 0].T @ d_out
-    d_padded[:, d:d + num_frames] += w[:, :, 1].T @ d_out
-    d_padded[:, 2 * d:2 * d + num_frames] += w[:, :, 2].T @ d_out
-    return d_w, d_b, d_padded[:, d:d + num_frames]
-
-
 @dataclass
 class Tape:
     """Intermediates recorded by forward for the matching backward pass."""
@@ -140,7 +116,7 @@ class Tape:
     params: ModelParams
     x: np.ndarray
     layer_inputs: list[np.ndarray]  # zero-padded by the layer's dilation
-    layer_pre: list[np.ndarray]
+    layer_relu: list[np.ndarray]  # ReLU of each dilated convolution
     layer_masks: list[np.ndarray | None]
     z: np.ndarray
 
@@ -169,31 +145,39 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     if train and cfg.dropout > 0.0 and dropout_rng is None:
         raise ValueError("train mode with dropout needs a dropout_rng")
 
-    p = params.values
-    # Each layer input is written once, into the middle of its zero-padded buffer.
+    p, num_frames = params.values, x.shape[1]
+    # Each layer input is written once, into the middle of its padded buffer;
+    # only the d pad columns on each side are zeroed.
     pads = [2 ** layer for layer in range(cfg.num_layers)]
-    layer_inputs = [np.zeros((cfg.hidden, x.shape[1] + 2 * d)) for d in pads]
+    layer_inputs = [np.empty((cfg.hidden, num_frames + 2 * d)) for d in pads]
+    for d, buf in zip(pads, layer_inputs):
+        buf[:, :d] = buf[:, -d:] = 0.0
     inner = [buf[:, d:-d] for d, buf in zip(pads, layer_inputs)] + [None]
     z = np.add(p["in.w"] @ x, p["in.b"][:, None], out=inner[0])
-    layer_pre, layer_masks = [], []
+    layer_relu, layer_masks = [], [None] * cfg.num_layers
+    if train and cfg.dropout > 0.0:
+        # One draw for all layers yields the same values as one draw per layer.
+        keep = 1.0 - cfg.dropout
+        drawn = dropout_rng.random((cfg.num_layers, cfg.hidden, num_frames))
+        layer_masks = list(np.divide(np.less(drawn, keep, out=drawn), keep, out=drawn))
     for layer, d in enumerate(pads):
-        pre = _dilated_conv(layer_inputs[layer], p[f"layer{layer}.dilated.w"],
-                            p[f"layer{layer}.dilated.b"], d)
-        layer_pre.append(pre)
-        branch = p[f"layer{layer}.proj.w"] @ np.maximum(pre, 0.0) \
-            + p[f"layer{layer}.proj.b"][:, None]
-        if train and cfg.dropout > 0.0:
-            keep = 1.0 - cfg.dropout
-            mask = (dropout_rng.random(branch.shape) < keep) / keep
-            branch = branch * mask
-        else:
-            mask = None
-        layer_masks.append(mask)
+        # width-3 dilated convolution: tap k reads the padded input shifted by k * d
+        padded, w = layer_inputs[layer], p[f"layer{layer}.dilated.w"]
+        relu = w[:, :, 0] @ padded[:, :num_frames]
+        for tap in (1, 2):
+            relu += w[:, :, tap] @ padded[:, tap * d:tap * d + num_frames]
+        relu += p[f"layer{layer}.dilated.b"][:, None]
+        layer_relu.append(np.maximum(relu, 0.0, out=relu))
+        branch = p[f"layer{layer}.proj.w"] @ relu
+        branch += p[f"layer{layer}.proj.b"][:, None]
+        if layer_masks[layer] is not None:
+            branch *= layer_masks[layer]
         z = np.add(z, branch, out=inner[layer + 1])
 
-    logits = [p[f"head{i}.w"].T @ z + p[f"head{i}.b"][:, None]
-              for i in range(len(cfg.head_sizes))]
-    return Forward(logits, Tape(params, x, layer_inputs, layer_pre, layer_masks, z))
+    logits = [p[f"head{i}.w"].T @ z for i in range(len(cfg.head_sizes))]
+    for i, s in enumerate(logits):
+        s += p[f"head{i}.b"][:, None]
+    return Forward(logits, Tape(params, x, layer_inputs, layer_relu, layer_masks, z))
 
 
 def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
@@ -206,28 +190,39 @@ def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
 
     d_z = np.zeros_like(tape.z)
     for i, d_l in enumerate(d_logits):
-        grads[f"head{i}.w"][...] = tape.z @ d_l.T
-        grads[f"head{i}.b"][...] = d_l.sum(axis=1)
+        np.matmul(tape.z, d_l.T, out=grads[f"head{i}.w"])
+        np.add.reduce(d_l, axis=1, out=grads[f"head{i}.b"])
         d_z += p[f"head{i}.w"] @ d_l
 
+    num_frames = tape.z.shape[1]
     for layer in reversed(range(cfg.num_layers)):
         d = 2 ** layer
         mask = tape.layer_masks[layer]
         d_branch = d_z if mask is None else d_z * mask
-        relu_out = np.maximum(tape.layer_pre[layer], 0.0)
-        grads[f"layer{layer}.proj.w"][...] = d_branch @ relu_out.T
-        grads[f"layer{layer}.proj.b"][...] = d_branch.sum(axis=1)
-        d_relu = p[f"layer{layer}.proj.w"].T @ d_branch
-        d_pre = d_relu * (tape.layer_pre[layer] > 0.0)
-        d_w, d_b, d_in = _dilated_conv_backward(tape.layer_inputs[layer],
-                                                p[f"layer{layer}.dilated.w"],
-                                                d_pre, d)
-        grads[f"layer{layer}.dilated.w"][...] = d_w
-        grads[f"layer{layer}.dilated.b"][...] = d_b
-        d_z = d_z + d_in
+        relu = tape.layer_relu[layer]
+        np.matmul(d_branch, relu.T, out=grads[f"layer{layer}.proj.w"])
+        np.add.reduce(d_branch, axis=1, out=grads[f"layer{layer}.proj.b"])
+        d_pre = p[f"layer{layer}.proj.w"].T @ d_branch
+        d_pre *= relu > 0.0
+        padded, w = tape.layer_inputs[layer], p[f"layer{layer}.dilated.w"]
+        d_w = grads[f"layer{layer}.dilated.w"]
+        for tap in range(3):
+            d_w[:, :, tap] = d_pre @ padded[:, tap * d:tap * d + num_frames].T
+        np.add.reduce(d_pre, axis=1, out=grads[f"layer{layer}.dilated.b"])
+        # d_in[:, t] = (P1[:, t] + P0[:, t + d]) + P2[:, t - d], Pk = w[:, :, k].T @ d_pre, each
+        # term where its frame exists (the zero-padded sum's order). The shifted adds run
+        # over the flat row-major arrays; the d columns of P0 and P2 that would wrap into a
+        # neighbouring row (all when T <= d) are zeroed: +0.0 changes no matmul result.
+        d_in = w[:, :, 1].T @ d_pre
+        ahead, behind = w[:, :, 0].T @ d_pre, w[:, :, 2].T @ d_pre
+        ahead[:, :d] = behind[:, -d:] = 0.0
+        flat = d_in.reshape(-1)
+        flat[:-d] += ahead.reshape(-1)[d:]
+        flat[d:] += behind.reshape(-1)[:-d]
+        d_z += d_in
 
-    grads["in.w"][...] = d_z @ tape.x.T
-    grads["in.b"][...] = d_z.sum(axis=1)
+    np.matmul(d_z, tape.x.T, out=grads["in.w"])
+    np.add.reduce(d_z, axis=1, out=grads["in.b"])
     return grads
 
 

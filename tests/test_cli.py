@@ -294,6 +294,17 @@ class TestTrainEvalReport:
         assert err.startswith("error: --resume") and "tau" in err and err.count("\n") == 1
         assert not (out / "r2" / "checkpoint.ckpt").exists()
 
+    def test_rejected_resume_writes_no_file(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--groups", "activity", "--tau", "0.9",
+                    "--resume", str(out / "run" / "checkpoint.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resume") and err.count("\n") == 1
+        assert not (out / "r2" / "group_spec.json").exists()
+        assert not (out / "r2" / "priors.json").exists()
+
     def test_resume_flag(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=2)
         assert run(["train", "--config", str(out / "run.json"),

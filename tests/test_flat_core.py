@@ -133,8 +133,10 @@ def backbone(dropout, seed=7):
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
-@pytest.mark.parametrize("frames", [1, 2, 9, 40])
+@pytest.mark.parametrize("frames", [1, 2, 4, 5, 8, 9, 40])
 def test_forward_and_backward_match_padding_reference(dropout, frames):
+    # With num_layers=3 the largest dilation d is 4: frames 4, 5 and 8 are T = d,
+    # T = d + 1 and T = 2d, the edges of backward's shifted d_in adds.
     params = gtla.init_params(backbone(dropout))
     data = np.random.default_rng(frames)
     x = data.standard_normal((5, frames))
@@ -146,6 +148,32 @@ def test_forward_and_backward_match_padding_reference(dropout, frames):
         assert np.array_equal(got, want)
     d_logits = [data.standard_normal(l.shape) for l in out.logits]
     assert_tensors_equal(gtla.backward(out.tape, d_logits), ref_backward(ref.tape, d_logits))
+
+
+@pytest.mark.parametrize("method", losses.METHODS)
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_a_training_step_changes_none_of_its_inputs(mode, method):
+    """forward, total_loss and backward compute in place only over their own
+    temporaries: features, parameters, logits and upstream gradients keep their
+    bytes, and a second backward over the same tape gives the same gradients."""
+    corpus, spec, prior, params = tiny_problem(np.random.default_rng(5), max_frames=40,
+                                               max_layers=3, max_groups=3)
+    params = gtla.init_params(replace(params.cfg, dropout=0.3))
+    cfg = losses.TrainConfig(method=method)
+    for seq, feats in zip(corpus.sequences, corpus.features):
+        k = spec.group_of(seq)
+        local = gtla.relabel_for_group(seq, spec, k)
+        features, weights = feats.values.tobytes(), params.values.flat.tobytes()
+        out = gtla.forward(feats, params, mode=mode, dropout_rng=np.random.default_rng(0))
+        logits = [s.tobytes() for s in out.logits]
+        _, d_logits, _ = gtla.total_loss(out.logits, local, k, spec, prior, cfg)
+        upstream = [g.tobytes() for g in d_logits]
+        first = gtla.backward(out.tape, d_logits).flat.tobytes()
+        assert gtla.backward(out.tape, d_logits).flat.tobytes() == first
+        assert feats.values.tobytes() == features
+        assert params.values.flat.tobytes() == weights
+        assert [s.tobytes() for s in out.logits] == logits
+        assert [g.tobytes() for g in d_logits] == upstream
 
 
 def test_gradients_are_views_into_one_flat_buffer(rng):

@@ -11,7 +11,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,12 +61,16 @@ class FrameSeq:
 
 @dataclass
 class FeatureMatrix:
-    """D x T real-valued features, frame-major on disk, float64 in memory."""
+    """D x T real-valued features, frame-major on disk, float32 there and in memory."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        try:
+            with np.errstate(over="raise"):
+                self.values = np.asarray(self.values, dtype=np.float32)
+        except FloatingPointError:
+            raise ValueError("features must lie within the float32 range (|x| <= 3.4e38)") from None
         if self.values.ndim != 2:
             raise ValueError("features must be a 2-D (dim x frames) array")
         if not np.all(np.isfinite(self.values)):
@@ -113,6 +117,16 @@ class Corpus:
     @property
     def feature_dim(self) -> int:
         return self.features[0].dim if self.features else 0
+
+    def widened(self, order: Iterable[int] | None = None) -> Iterator[tuple[FrameSeq, np.ndarray]]:
+        """(sequence, float64 features) in ``order`` (default: corpus order), each a view of one
+        reused dim x max-T buffer, Fortran-ordered like a loaded file, overwritten by the next."""
+        buf = np.empty((self.feature_dim, max((f.num_frames for f in self.features), default=0)),
+                       order="F")
+        for idx in range(len(self)) if order is None else order:
+            x = buf[:, :self.features[idx].num_frames]
+            x[...] = self.features[idx].values
+            yield self.sequences[idx], x
 
 
 def load_mapping(path: str | Path) -> ClassVocab:
@@ -170,7 +184,7 @@ def write_label_file(path: str | Path, seq: FrameSeq, vocab: ClassVocab) -> None
 
 
 def load_features(path: str | Path, dim: int) -> FeatureMatrix:
-    """Read a binary feature file, checking magic, dimension, and length."""
+    """Read a binary feature file, checking magic, dimension, and length, without a copy."""
     blob = Path(path).read_bytes()
     header = len(FEATURE_MAGIC) + 8
     if len(blob) < header or blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:

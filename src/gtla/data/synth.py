@@ -157,7 +157,7 @@ def _generate_split(cfg: SynthConfig, vocab: ClassVocab, means: np.ndarray,
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
-    """Generate (train, test) corpora, bitwise reproducible from cfg.seed.
+    """Generate (train, test) corpora of float32 features, bitwise reproducible from cfg.seed.
 
     Class mean vectors are shared between the splits; sequence sampling uses
     disjoint seed streams so the splits contain different sequences drawn

@@ -34,10 +34,6 @@ def identify_group(logits: list[np.ndarray], spec: GroupSpec) -> int:
     return _lowest_others([softmax(s) for s in logits], spec)[0]
 
 
-def others_probabilities(logits: list[np.ndarray], spec: GroupSpec) -> np.ndarray:
-    return _lowest_others([softmax(s) for s in logits], spec)[1]
-
-
 def _lowest_others(probs: list[np.ndarray], spec: GroupSpec) -> tuple[int, np.ndarray]:
     """The group rule on each head's softmax: (group, mean ``others`` probability per group)."""
     means = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
@@ -71,11 +67,10 @@ def predict_sequence(features, params: ModelParams, spec: GroupSpec,
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:
     """Eval-mode predictions for every sequence, in corpus order."""
-    if dataset.feature_dim != params.cfg.in_dim:
+    if len(dataset) and dataset.feature_dim != params.cfg.in_dim:
         raise ValueError(f"corpus features have dim {dataset.feature_dim}, "
                          f"model expects {params.cfg.in_dim}")
-    return [predict_sequence(feats, params, spec, seq_id=seq.id)
-            for seq, feats in dataset]
+    return [predict_sequence(x, params, spec, seq_id=seq.id) for seq, x in dataset.widened()]
 
 
 def write_predictions(predictions: list[Prediction], vocab: ClassVocab,

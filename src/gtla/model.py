@@ -2,9 +2,10 @@
 
 The network is a 1x1 input convolution followed by K residual blocks
 (width-3 dilated convolution with dilation 2^l, ReLU, 1x1 projection,
-dropout, residual add) and one linear classifier per group. Everything
-runs in float64; forward keeps a tape of intermediates so that backward
-can produce exact gradients for every parameter.
+dropout, residual add) and one linear classifier per group. It computes
+in float64 on float32 features widened per sequence (``Corpus.widened``);
+forward keeps a tape of intermediates so that backward can produce exact
+gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -180,13 +181,14 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     return Forward(logits, Tape(params, x, layer_inputs, layer_relu, layer_masks, z))
 
 
-def backward(tape: Tape, d_logits: list[np.ndarray]) -> FlatTensors:
-    """Propagate loss gradients w.r.t. the logits back to every parameter."""
+def backward(tape: Tape, d_logits: list[np.ndarray], out: FlatTensors | None = None) -> FlatTensors:
+    """Propagate loss gradients w.r.t. the logits back to every parameter,
+    into ``out`` if given (every tensor is overwritten) or a new buffer."""
     cfg = tape.params.cfg
     p = tape.params.values
     if len(d_logits) != len(cfg.head_sizes):
         raise ValueError("one upstream gradient per group head required")
-    grads = FlatTensors(cfg)
+    grads = FlatTensors(cfg) if out is None else out
 
     d_z = np.zeros_like(tape.z)
     for i, d_l in enumerate(d_logits):

@@ -18,6 +18,7 @@ from .losses import TrainConfig, total_loss
 from .model import (
     AdamState,
     BackboneConfig,
+    FlatTensors,
     ModelParams,
     adam_step,
     backward,
@@ -44,6 +45,10 @@ class TrainState:
     order_rng: np.random.Generator
     epoch: int = 0
     history: list[float] = field(default_factory=list)
+    grads: FlatTensors = field(init=False, repr=False)  # reused by every step
+
+    def __post_init__(self):
+        self.grads = FlatTensors(self.params.cfg)
 
     def rng_payload(self) -> dict:
         return {
@@ -76,14 +81,12 @@ def train_epoch(state: TrainState, train: Corpus, spec: GroupSpec,
     """One pass over the corpus in shuffled order; returns the mean loss."""
     order = state.order_rng.permutation(len(train.sequences))
     total = 0.0
-    for idx in order:
-        seq = train.sequences[idx]
-        feats = train.features[idx]
+    for seq, x in train.widened(order):
         k = spec.group_of(seq)
         local = relabel_for_group(seq, spec, k)
-        out = forward(feats, state.params, mode="train", dropout_rng=state.dropout_rng)
+        out = forward(x, state.params, mode="train", dropout_rng=state.dropout_rng)
         loss, d_logits, _ = total_loss(out.logits, local, k, spec, prior, cfg)
-        grads = backward(out.tape, d_logits)
+        grads = backward(out.tape, d_logits, out=state.grads)
         adam_step(state.params, grads, state.adam, lr=cfg.lr)
         total += loss
     state.epoch += 1

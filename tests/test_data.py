@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +122,25 @@ class TestFeatureFile:
         (tmp_path / "f.feat").write_bytes(blob + b"\0\0\0\0")
         with pytest.raises(FormatError, match="trailing"):
             data.load_features(tmp_path / "f.feat", 2)
+
+
+class TestFeatureMatrix:
+    def test_holds_float32(self):
+        feats = data.FeatureMatrix(np.arange(6, dtype=np.float64).reshape(2, 3) / 3.0)
+        assert feats.values.dtype == np.float32
+        assert np.array_equal(feats.values, (np.arange(6).reshape(2, 3) / 3.0).astype(np.float32))
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+    def test_outside_float32_range_is_one_error(self, value):
+        values = np.zeros((2, 3))
+        values[1, 2] = value
+        with pytest.raises(ValueError, match="float32 range"):
+            data.FeatureMatrix(values)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            data.FeatureMatrix(np.full((2, 3), value))
 
 
 class TestSegments:
@@ -258,8 +279,44 @@ class TestCorpusIO:
         for (s1, f1), (s2, f2) in zip(loaded, train):
             assert s1.id == s2.id and s1.activity == s2.activity
             assert np.array_equal(s1.labels, s2.labels)
-            assert np.array_equal(f1.values,
-                                  f2.values.astype(np.float32).astype(np.float64))
+            assert f1.values.dtype == f2.values.dtype == np.float32
+            assert np.array_equal(f1.values, f2.values)
+
+    def test_synth_corpus_is_what_the_files_hold(self, tmp_path):
+        # The in-memory corpus is the one written and read back, so both
+        # train to the same bits.
+        cfg = gtla.longtail_benchmark_config(seed=3, train_per_activity=3, test_per_activity=1)
+        train, _ = data.synth_generate(cfg)
+        loaded = data.load_corpus(data.write_corpus(train, tmp_path))
+        for f1, f2 in zip(loaded.features, train.features):
+            assert f1.values.dtype == f2.values.dtype == np.float32
+            assert np.array_equal(f1.values, f2.values)
+        spec = gtla.build_group_spec(train, gtla.ByActivity())
+        prior = gtla.extract_priors(train, spec)
+        backbone = gtla.BackboneConfig(in_dim=train.feature_dim, hidden=8, num_layers=2,
+                                       head_sizes=spec.head_sizes())
+        train_cfg = gtla.TrainConfig(method="gtla", epochs=2, seed=1)
+        a = gtla.train_model(train, spec, prior, backbone, train_cfg)
+        b = gtla.train_model(loaded, spec, prior, backbone, train_cfg)
+        assert a.history == b.history
+        assert np.array_equal(a.params.values.flat, b.params.values.flat)
+
+    def test_load_peak_memory_stays_near_the_float32_payload(self, tmp_path):
+        cfg = replace(gtla.longtail_benchmark_config(seed=4, test_per_activity=1),
+                      feature_dim=32)
+        train, _ = data.synth_generate(cfg)
+        manifest = data.write_corpus(train, tmp_path)
+        payload = sum(4 * f.values.size for f in train.features)  # float32 bytes
+        del train
+        tracemalloc.start()
+        try:
+            loaded = data.load_corpus(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A float64 copy of the features alone would be twice the payload.
+        assert peak < 1.5 * payload, (peak, payload)
+        assert sum(f.values.nbytes for f in loaded.features) == payload
 
     def test_manifest_missing_key(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"version": 1}')

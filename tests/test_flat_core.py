@@ -75,7 +75,8 @@ def ref_forward(features, params, mode="eval", dropout_rng=None):
     return model.Forward(logits, tape)
 
 
-def ref_backward(tape, d_logits):
+def ref_backward(tape, d_logits, out=None):
+    """Per-tensor backward into fresh arrays; ``out`` (the reusable buffer) is ignored."""
     cfg, p = tape["params"].cfg, tape["params"].values
     grads = {}
     d_z = np.zeros_like(tape["z"])
@@ -186,6 +187,22 @@ def test_gradients_are_views_into_one_flat_buffer(rng):
         assert all(np.shares_memory(arr, tensors.flat) for arr in tensors.values())
     params.values["head1.b"][0] = 123.0
     assert 123.0 in params.values.flat
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_backward_into_one_buffer_matches_fresh_buffers(dropout, rng):
+    # Two steps of different lengths through one NaN-filled buffer: every
+    # tensor must be overwritten on each step, none keeps a stale value.
+    params = gtla.init_params(backbone(dropout))
+    grads = model.FlatTensors(params.cfg)
+    grads.flat[...] = np.nan
+    for frames in (9, 2):
+        out = gtla.forward(rng.standard_normal((5, frames)), params, mode="train",
+                           dropout_rng=np.random.default_rng(frames))
+        d_logits = [rng.standard_normal(l.shape) for l in out.logits]
+        assert gtla.backward(out.tape, d_logits, out=grads) is grads
+        assert_tensors_equal(grads, gtla.backward(out.tape, d_logits))
+        params.values.flat += 0.01 * grads.flat
 
 
 def ref_state(state):

@@ -43,17 +43,25 @@ class TestIdentifyGroup:
         spec = gtla.build_group_spec(corpus, gtla.ByActivity())
         assert spec.head_sizes() == (3, 3)
         logits = [np.zeros((3, 4)), np.zeros((3, 4))]  # identical: exact tie
-        probs = inference.others_probabilities(logits, spec)
-        assert probs[0] == probs[1]
         assert gtla.identify_group(logits, spec) == 0
+        # Zeroed heads give both groups the same all-zero logits: an exact tie.
+        params = gtla.init_params(gtla.BackboneConfig(in_dim=2, head_sizes=(3, 3)))
+        for name in ("head0.w", "head0.b", "head1.w", "head1.b"):
+            params.values[name][...] = 0.0
+        pred = inference.predict_sequence(np.ones((2, 4)), params, spec)
+        assert pred.others_prob[0] == pred.others_prob[1]
+        assert pred.group == 0
 
     def test_constant_rescaling_invariance(self, rng):
         spec, _ = spec_two_groups()
-        logits = [rng.standard_normal((3, 6)), rng.standard_normal((2, 6))]
-        base = gtla.identify_group(logits, spec)
-        probs = [inference.others_probabilities(logits, spec)]
+        backbone = gtla.BackboneConfig(in_dim=2, head_sizes=spec.head_sizes())
+        params = gtla.init_params(backbone, rng)
+        features = rng.standard_normal((2, 6))
+        base = gtla.identify_group(gtla.forward(features, params).logits, spec)
+        pred = inference.predict_sequence(features, params, spec)
+        assert pred.group == base
         # scaling all others probabilities by one positive constant keeps argmin
-        scaled = [p * 3.7 for p in probs[0]]
+        scaled = [p * 3.7 for p in pred.others_prob]
         assert int(np.argmin(scaled)) == base
 
     def test_per_frame_rescaling_under_dominance(self, rng):
@@ -116,6 +124,26 @@ class TestPredictCorpus:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.labels, pb.labels)
             assert np.array_equal(pa.probs, pb.probs)
+
+    def test_shared_buffer_matches_each_sequence_alone(self, rng):
+        # long -> short -> long: a stale column of the reused buffer would show.
+        vocab = gtla.ClassVocab(("a", "b", "c", "d"))
+        lengths, activities = (90, 7, 60), ("x", "y", "x")
+        # activity x uses classes a, b; activity y uses c, d
+        sequences = [gtla.FrameSeq(rng.integers(0, 2, n) + 2 * (act == "y"), act, f"s{i}")
+                     for i, (n, act) in enumerate(zip(lengths, activities))]
+        features = [gtla.FeatureMatrix(rng.standard_normal((5, n))) for n in lengths]
+        corpus = gtla.Corpus(vocab, sequences, features)
+        spec = gtla.build_group_spec(corpus, gtla.ByActivity())
+        backbone = gtla.BackboneConfig(in_dim=5, head_sizes=spec.head_sizes())
+        params = gtla.init_params(backbone, rng)
+        preds = gtla.predict_corpus(params, corpus, spec)
+        for pred, seq, feats in zip(preds, sequences, features):
+            alone = inference.predict_sequence(feats, params, spec, seq_id=seq.id)
+            assert (pred.seq_id, pred.group) == (alone.seq_id, alone.group)
+            for field in ("labels", "probs", "others_prob"):
+                assert np.array_equal(getattr(pred, field), getattr(alone, field)), field
+        assert gtla.predict_corpus(params, gtla.Corpus(vocab, [], []), spec) == []
 
     def test_dim_mismatch_rejected(self, rng):
         corpus, spec, prior, params = tiny_problem(rng)

@@ -1,10 +1,10 @@
 """Command-line front end: synth, cluster, priors, train, eval, report.
 
 Every command reads/writes plain files (JSON configs and reports, text
-labels, binary features/checkpoints) so a full experiment is a short shell
-script. Config files carry a version field and unknown keys are rejected,
-which catches misspelled hyperparameters early. All commands exit non-zero
-with a one-line diagnostic on malformed input.
+labels, binary features, ``.npz`` checkpoints) so a full experiment is a
+short shell script. Config files carry a version field and unknown keys are
+rejected, which catches misspelled hyperparameters early. All commands exit
+non-zero with a one-line diagnostic on malformed input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
 from .data.io import read_json, write_json
-from .errors import ConfigError, GtlaError
+from .errors import ConfigError, FormatError, GtlaError
 
 
 def _check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
@@ -204,7 +204,10 @@ def cmd_train(args) -> int:
             if changed:
                 raise ConfigError(f"--resume: the run's train config differs from the "
                                   f"checkpoint's in {', '.join(changed)}")
-        state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
+        try:
+            state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
+        except FormatError as exc:
+            raise FormatError(f"{args.resume}: {exc}") from exc
     else:
         state = training.init_train_state(train_cfg, backbone)
     out.mkdir(parents=True, exist_ok=True)

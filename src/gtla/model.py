@@ -11,7 +11,7 @@ gradients for every parameter.
 from __future__ import annotations
 
 import json
-import struct
+import zipfile
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -20,8 +20,6 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .errors import ConfigError, FormatError, TrainingError
-
-CHECKPOINT_MAGIC = b"GTLACKPT"
 
 
 @dataclass(frozen=True)
@@ -84,10 +82,10 @@ class FlatTensors(dict):
 
 @dataclass
 class ModelParams:
-    """Parameter tensors keyed by name (copied into FlatTensors), plus their config."""
+    """Parameter tensors keyed by name (copied into FlatTensors; None: zeros), plus config."""
 
     cfg: BackboneConfig
-    values: dict[str, np.ndarray]
+    values: dict[str, np.ndarray] | None
 
     def __post_init__(self):
         self.values = FlatTensors(self.cfg, self.values)
@@ -259,72 +257,33 @@ def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState,
 
 def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
                     adam: AdamState | None = None, extra: dict | None = None) -> None:
-    """JSON header plus a float32 little-endian parameter blob."""
-    tensors = []
-    blobs = []
-    offset = 0
-
-    def add(name, arr):
-        nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-
-    for name, arr in params.values.items():
-        add(name, arr)
-    if adam is not None and adam.t > 0:
-        for name, arr in adam.m.items():
-            add(f"adam.m.{name}", arr)
-        for name, arr in adam.v.items():
-            add(f"adam.v.{name}", arr)
-    header = {
-        "version": 1,
-        "config": params.cfg.to_dict(),
-        "step": step,
-        "adam_t": adam.t if adam is not None else 0,
-        "tensors": tensors,
-        "extra": extra or {},
-    }
-    head_raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(head_raw)))
-        fh.write(head_raw)
-        for raw in blobs:
-            fh.write(raw)
+    """An uncompressed ``.npz`` of a JSON ``header`` (0-d bytes) and the flat ``params``,
+    ``m`` and ``v`` buffers as float32; each member has a CRC-32, the bytes no timestamp."""
+    adam = adam if adam is not None else AdamState(params.cfg)
+    header = {"version": 2, "config": params.cfg.to_dict(), "step": step,
+              "adam_t": adam.t, "extra": extra or {}}
+    with open(path, "wb") as fh:  # a handle, so numpy does not append ".npz"
+        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True).encode()),
+                 params=params.values.flat.astype("<f4"),
+                 m=adam.m.flat.astype("<f4"), v=adam.v.flat.astype("<f4"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
-    """Load params, optimizer state and the extra header dict."""
-    blob = Path(path).read_bytes()
-    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    head_start = len(CHECKPOINT_MAGIC) + 4
-    # A cut length field still decodes; the body start then lies past EOF.
-    body_start = head_start + int.from_bytes(blob[len(CHECKPOINT_MAGIC):head_start], "little")
-    if len(blob) < body_start:
-        raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[head_start:body_start].decode("utf-8"))
-        cfg = BackboneConfig.from_dict(header["config"])
-        arrays = {}
-        for spec in header["tensors"]:
-            size = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            start = body_start + spec["offset"]
-            if len(blob) < start + 4 * size:
-                raise FormatError(f"{path}: truncated tensor {spec['name']!r}")
-            flat = np.frombuffer(blob, dtype="<f4", count=size, offset=start)
-            arrays[spec["name"]] = flat.reshape(spec["shape"]).astype(np.float64)
-        params = ModelParams(cfg, arrays)
-        adam = AdamState(cfg, t=int(header.get("adam_t", 0)))
-        if adam.t:  # save_checkpoint writes every moment tensor once Adam has stepped
-            for prefix, moment in (("adam.m.", adam.m), ("adam.v.", adam.v)):
-                for name, view in moment.items():
-                    view[...] = np.reshape(arrays[prefix + name], view.shape)
-        extra = {**header["extra"], "step": header.get("step", 0)}
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
-        raise FormatError(f"{path}: invalid checkpoint header "
-                          f"({type(exc).__name__}: {exc})") from exc
+    """Params, Adam state and extra header dict; a damaged file raises one ``FormatError``."""
+    with open(path, "rb") as fh:  # closing it releases the archive too
+        try:
+            npz = np.lib.npyio.NpzFile(fh)
+            header = json.loads(npz["header"].item())
+            cfg = BackboneConfig.from_dict(header["config"])
+            params, adam = ModelParams(cfg, None), AdamState(cfg, t=int(header["adam_t"]))
+            for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
+                if (stored := npz[name]).shape != flat.shape:  # it would broadcast
+                    raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")
+                flat[...] = stored
+            extra = {**header["extra"], "step": header["step"]}
+        # flipped zip metadata can raise OSError, NotImplementedError or RuntimeError
+        except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, KeyError,
+                TypeError, ConfigError) as exc:
+            raise FormatError(f"{path}: not a checkpoint, or a damaged one "
+                              f"({type(exc).__name__}: {exc})") from exc
     return params, adam, extra
-

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Corpus
+from .errors import FormatError
 from .grouping import GroupSpec, relabel_for_group
 from .losses import TrainConfig, total_loss
 from .model import (
@@ -60,13 +61,21 @@ class TrainState:
 
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":
+        """The state ``rng_payload`` recorded; a missing key keeps its default."""
+        if not isinstance(payload, dict):
+            raise FormatError(f"train_state must be an object, got {type(payload).__name__}")
+        epoch, history = payload.get("epoch", 0), payload.get("history", [])
+        if type(epoch) is not int or not isinstance(history, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in history):
+            raise FormatError("train_state needs an int 'epoch' and a list of numbers as 'history'")
         state = TrainState(params, adam, np.random.default_rng(0), np.random.default_rng(0),
-                           epoch=int(payload.get("epoch", 0)),
-                           history=list(payload.get("history", [])))
-        if payload.get("dropout"):
-            state.dropout_rng.bit_generator.state = payload["dropout"]
-        if payload.get("order"):
-            state.order_rng.bit_generator.state = payload["order"]
+                           epoch=epoch, history=list(history))
+        try:
+            for key, rng in (("dropout", state.dropout_rng), ("order", state.order_rng)):
+                rng.bit_generator.state = payload.get(key, rng.bit_generator.state)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"train_state: {key!r} is not a bit generator state "
+                              f"({type(exc).__name__}: {exc})") from exc
         return state
 
 

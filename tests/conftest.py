@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,25 @@ def tiny_problem(rng, max_dim=4, max_frames=12, max_hidden=8, max_layers=2,
     )
     params = gtla.init_params(backbone)
     return corpus, spec, prior, params
+
+
+def edit_checkpoint(path, edit):
+    """Apply edit(members) to the dict of a checkpoint's ``.npz`` members in
+    place, then write the members back to ``path``."""
+    with np.load(path) as npz:
+        members = dict(npz)
+    edit(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def edit_checkpoint_header(path, edit):
+    """Apply edit(header) to a checkpoint's parsed JSON header in place."""
+    def apply(members):
+        header = json.loads(members["header"].item())
+        edit(header)
+        members["header"] = np.array(json.dumps(header).encode())
+    edit_checkpoint(path, apply)
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from gtla import cli, data, losses, model
+
+from conftest import edit_checkpoint_header
 
 
 def run(argv):
@@ -71,11 +74,18 @@ def run_pipeline(tmp_path, workdir, seed=1, epochs=2, method="gtla"):
     (out / "run.json").write_text(json.dumps(run_cfg))
     assert run(["train", "--config", str(out / "run.json"),
                 "--out", str(out / "run")]) == 0
-    assert run(["eval", "--checkpoint", str(out / "run" / "checkpoint.ckpt"),
-                "--data", str(test_manifest), "--train-data", str(train_manifest),
-                "--spec", str(out / "spec.json"), "--priors", str(out / "priors.json"),
-                "--head-threshold", "40", "--out", str(out / "eval")]) == 0
+    assert run(eval_argv(out, out / "run" / "checkpoint.ckpt", out / "eval")) == 0
     return out
+
+
+def eval_argv(out, checkpoint, dest):
+    """``gtla eval`` arguments for a ``run_pipeline`` directory."""
+    corpus = out / "corpus"
+    return ["eval", "--checkpoint", str(checkpoint),
+            "--data", str(corpus / "test" / "manifest.json"),
+            "--train-data", str(corpus / "train" / "manifest.json"),
+            "--spec", str(out / "spec.json"), "--priors", str(out / "priors.json"),
+            "--head-threshold", "40", "--out", str(dest)]
 
 
 class TestSynthCommand:
@@ -312,6 +322,73 @@ class TestTrainEvalReport:
                     "--resume", str(out / "run" / "checkpoint.ckpt")]) == 0
         log = json.loads((out / "more" / "train_log.json").read_text())
         assert len(log["loss"]) == 3  # two restored + one new epoch
+
+
+class TestCheckpointFiles:
+    def test_train_runs_write_byte_identical_checkpoints(self, tmp_path):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        for name in ("a", "b"):
+            assert run(["train", "--config", str(out / "run.json"), "--out", str(out / name)]) == 0
+        first = (out / "run" / "checkpoint.ckpt").read_bytes()
+        assert (out / "a" / "checkpoint.ckpt").read_bytes() == first
+        assert (out / "b" / "checkpoint.ckpt").read_bytes() == first
+
+    def test_damaged_checkpoint_is_one_error_line_or_loads_intact(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        blob = (out / "run" / "checkpoint.ckpt").read_bytes()
+        intact, _, _ = model.load_checkpoint(out / "run" / "checkpoint.ckpt")
+        cuts = [blob[:size] for size in (0, 10, len(blob) // 2, len(blob) - 5)]
+        flips = []
+        for bit in np.random.default_rng(12).choice(8 * len(blob), size=240, replace=False):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            flips.append(bytes(flipped))
+        damaged, crc_errors = out / "damaged.ckpt", 0
+        for i, case in enumerate(cuts + flips):
+            damaged.write_bytes(case)
+            capsys.readouterr()
+            code = run(eval_argv(out, damaged, out / "e"))
+            err = capsys.readouterr().err
+            if code == 0 and i >= len(cuts):
+                loaded, _, _ = model.load_checkpoint(damaged)
+                assert np.array_equal(loaded.values.flat, intact.values.flat), i
+                continue
+            assert code == 1, i
+            assert err.startswith(f"error: {damaged}: ") and err.count("\n") == 1, (i, err)
+            crc_errors += "Bad CRC-32" in err
+        # Most flips land in the members' bytes, where the CRC-32 catches them.
+        assert crc_errors > len(flips) // 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda state: state.update(dropout=5),
+        lambda state: state.update(history=3),
+        lambda state: state.update(history=[1.5, "x"]),
+        lambda state: state.update(epoch="1"),
+        lambda state: state.update(order={}),
+        lambda state: state["order"].pop("state"),
+        lambda state: state["dropout"]["state"].update(state=-1),
+    ], ids=["dropout-int", "history-int", "history-str-item", "epoch-str", "order-empty",
+            "order-no-state", "dropout-negative"])
+    def test_malformed_train_state_is_one_error_line(self, tmp_path, capsys, edit):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: edit(header["extra"]["train_state"]))
+        self.assert_resume_fails(out, ckpt, capsys)
+
+    def test_train_state_list_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: header["extra"].update(train_state=[1, 2]))
+        self.assert_resume_fails(out, ckpt, capsys)
+
+    @staticmethod
+    def assert_resume_fails(out, ckpt, capsys):
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: train_state") and err.count("\n") == 1, err
+        assert not (out / "r2" / "checkpoint.ckpt").exists()
 
 
 class TestRunConfigSchema:

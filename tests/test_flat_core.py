@@ -7,7 +7,6 @@ bounds (the scalar oracle kept in ``test_priors``). The flat core keeps every fl
 order, so results must be equal bit for bit, not merely close.
 """
 
-import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,7 +17,7 @@ import gtla
 from gtla import losses, model, priors, training
 from gtla.errors import FormatError
 
-from conftest import tiny_problem
+from conftest import edit_checkpoint, tiny_problem
 from test_priors import oracle_temporal_bounds
 
 
@@ -265,13 +264,8 @@ def test_checkpoint_missing_a_moment_tensor_raises_format_error(tmp_path, rng):
     gtla.adam_step(params, random_grads(params, rng), state)
     path = tmp_path / "c.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state)
-    blob = path.read_bytes()
-    n = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12:12 + n])
-    header["tensors"] = [t for t in header["tensors"] if t["name"] != "adam.v.in.b"]
-    head = json.dumps(header).encode()
-    path.write_bytes(blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + n:])
-    with pytest.raises(FormatError, match="adam.v.in.b"):
+    edit_checkpoint(path, lambda members: members.pop("v"))
+    with pytest.raises(FormatError, match="KeyError: 'v is not a file"):
         model.load_checkpoint(path)
 
 
@@ -338,13 +332,9 @@ def test_truncated_checkpoints_raise_format_error(tmp_path, rng):
     path = tmp_path / "full.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state)
     blob = path.read_bytes()
-
-    (tmp_path / "tiny.ckpt").write_bytes(blob[:10])
-    with pytest.raises(FormatError, match="truncated header"):
-        model.load_checkpoint(tmp_path / "tiny.ckpt")
-    (tmp_path / "head.ckpt").write_bytes(blob[:40])
-    with pytest.raises(FormatError, match="truncated header"):
-        model.load_checkpoint(tmp_path / "head.ckpt")
-    (tmp_path / "cut.ckpt").write_bytes(blob[:-6])  # mid-way through the last tensor
-    with pytest.raises(FormatError, match="truncated tensor 'adam.v.head1.b'"):
-        model.load_checkpoint(tmp_path / "cut.ckpt")
+    # The zip directory sits at the end, so every cut loses it.
+    for size in (0, 10, 40, len(blob) // 2, len(blob) - 6):
+        cut = tmp_path / f"cut{size}.ckpt"
+        cut.write_bytes(blob[:size])
+        with pytest.raises(FormatError, match=f"{cut}: .*BadZipFile"):
+            model.load_checkpoint(cut)

@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import gtla
 from gtla import data, grouping, losses, model, priors
 from gtla.errors import FormatError, TrainingError
 
-from conftest import finite_difference, max_relative_error, tiny_problem
+from conftest import edit_checkpoint, finite_difference, max_relative_error, tiny_problem
 
 
 def small_config(groups=(4, 3), hidden=8, layers=2, dim=4, dropout=0.0, seed=3):
@@ -208,12 +209,87 @@ def test_checkpoint_rejects_garbage(tmp_path):
         model.load_checkpoint(tmp_path / "bad.ckpt")
 
 
-def _rewrite_header(path, edit):
-    """Replace a checkpoint's header bytes with edit(header bytes)."""
+def _stepped_checkpoint(path, rng):
+    """Save a small model after one Adam step; returns its params and state."""
+    cfg = small_config(seed=8)
+    params, state = gtla.init_params(cfg), gtla.AdamState(cfg)
+    grads = model.FlatTensors(cfg)
+    grads.flat[...] = rng.standard_normal(grads.flat.size)
+    gtla.adam_step(params, grads, state)
+    model.save_checkpoint(path, params, step=1, adam=state)
+    return params, state
+
+
+def test_checkpoint_is_an_uncompressed_npz_of_the_flat_buffers(tmp_path, rng):
+    path = tmp_path / "model.ckpt"
+    params, state = _stepped_checkpoint(path, rng)
+    with zipfile.ZipFile(path) as archive:
+        infos = archive.infolist()
+    assert [info.filename for info in infos] == ["header.npy", "params.npy", "m.npy", "v.npy"]
+    assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(npz["header"].item())
+        assert (header["version"], header["step"], header["adam_t"]) == (2, 1, 1)
+        for name, flat in (("params", params.values.flat), ("m", state.m.flat),
+                           ("v", state.v.flat)):
+            assert npz[name].dtype == np.float32
+            assert np.array_equal(npz[name], flat.astype(np.float32))
+    # No timestamp or other state: the same inputs give the same bytes.
+    model.save_checkpoint(tmp_path / "again.ckpt", params, step=1, adam=state)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_without_adam_state_loads_zero_moments(tmp_path):
+    params = gtla.init_params(small_config())
+    model.save_checkpoint(tmp_path / "c.ckpt", params)
+    loaded, adam, extra = model.load_checkpoint(tmp_path / "c.ckpt")
+    assert np.array_equal(loaded.values.flat, params.values.flat.astype(np.float32))
+    assert adam.t == 0 and not adam.m.flat.any() and not adam.v.flat.any()
+    assert extra == {"step": 0}
+
+
+@pytest.mark.parametrize("member, shape", [
+    ("params", lambda n: (1,)), ("params", lambda n: (n - 1,)), ("params", lambda n: (n + 1,)),
+    ("params", lambda n: (n, 1)), ("params", lambda n: ()), ("m", lambda n: (1,)),
+    ("v", lambda n: (n - 1,)),
+], ids=["params-1", "params-short", "params-long", "params-2d", "params-0d", "m-1", "v-short"])
+def test_checkpoint_member_of_wrong_shape_raises_format_error(tmp_path, rng, member, shape):
+    path = tmp_path / "model.ckpt"
+    params, _ = _stepped_checkpoint(path, rng)
+    wrong = shape(params.values.flat.size)
+    edit_checkpoint(path, lambda members: members.update({member: np.ones(wrong, np.float32)}))
+    with pytest.raises(FormatError, match=f"{path}.*member '{member}' has shape"):
+        model.load_checkpoint(path)
+
+
+def test_flipped_zip_directory_bits_raise_format_error_or_load_intact(tmp_path):
+    # The zip directory has no checksum. Each of its bits, flipped, must give
+    # one FormatError (zipfile raises BadZipFile, KeyError, OSError,
+    # NotImplementedError or RuntimeError underneath) or the intact values.
+    path = tmp_path / "model.ckpt"
+    params = gtla.init_params(small_config())
+    model.save_checkpoint(path, params)
     blob = path.read_bytes()
-    n = int.from_bytes(blob[8:12], "little")
-    head = edit(blob[12:12 + n])
-    path.write_bytes(blob[:8] + len(head).to_bytes(4, "little") + head + blob[12 + n:])
+    with zipfile.ZipFile(path) as archive:
+        start = archive.start_dir  # central directory, then the end record
+    errors = 0
+    for bit in range(8 * start, 8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        try:
+            loaded, _, _ = model.load_checkpoint(path)
+        except FormatError:
+            errors += 1
+            continue
+        assert np.array_equal(loaded.values.flat, params.values.flat.astype(np.float32)), bit
+    assert errors > 0
+
+
+def _rewrite_header(path, edit):
+    """Replace a checkpoint's header member with edit(header bytes)."""
+    edit_checkpoint(path, lambda members: members.update(
+        header=np.array(edit(members["header"].item()))))
 
 
 def _drop_config(head):

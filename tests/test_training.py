@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 import gtla
 from gtla import losses, model, training
@@ -67,6 +70,35 @@ def test_resume_from_checkpoint_is_deterministic(tmp_path):
     for name in a.params.values:
         assert np.array_equal(a.params.values[name], b.params.values[name])
     assert not np.array_equal(a.params.values["in.w"], state.params.values["in.w"])
+
+
+@pytest.mark.parametrize("method", ["ce", "la", "gtla"])
+def test_resume_equals_float32_rounding_in_process(tmp_path, method):
+    """Save after epoch 2, load, restore and train to epoch 4: bit for bit the
+    run that rounds params and both moments to float32 in place at epoch 2
+    and continues in process (checkpoints store float32)."""
+    train, _, spec, prior, backbone, _ = small_setup(seed=3)
+    first = losses.TrainConfig(method=method, epochs=2, seed=3)
+    full = replace(first, epochs=4)
+    state = gtla.train_model(train, spec, prior, backbone, first)
+    ckpt = tmp_path / "c.ckpt"
+    model.save_checkpoint(ckpt, state.params, step=state.adam.t, adam=state.adam,
+                          extra={"train_state": state.rng_payload()})
+    for flat in (state.params.values.flat, state.adam.m.flat, state.adam.v.flat):
+        flat[...] = flat.astype(np.float32)
+    gtla.train_model(train, spec, prior, backbone, full, state)
+
+    params, adam, extra = model.load_checkpoint(ckpt)
+    resumed = gtla.train_model(train, spec, prior, backbone, full,
+                               training.TrainState.restore(params, adam, extra["train_state"]))
+    assert np.array_equal(resumed.params.values.flat, state.params.values.flat)
+    assert np.array_equal(resumed.adam.m.flat, state.adam.m.flat)
+    assert np.array_equal(resumed.adam.v.flat, state.adam.v.flat)
+    assert resumed.adam.t == state.adam.t == 4 * len(train.sequences)
+    assert resumed.history == state.history and len(state.history) == 4
+    assert resumed.epoch == state.epoch == 4
+    assert resumed.dropout_rng.bit_generator.state == state.dropout_rng.bit_generator.state
+    assert resumed.order_rng.bit_generator.state == state.order_rng.bit_generator.state
 
 
 def test_seed_streams_are_independent():

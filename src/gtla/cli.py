@@ -234,6 +234,9 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ConfigError(f"--exclude: unknown class(es) {unknown}")
     train_corpus = data.load_corpus(args.train_data)
+    if train_corpus.vocab != dataset.vocab:
+        raise ConfigError(f"--train-data: the class mapping of {args.train_data} "
+                          f"differs from that of {args.data}")
     spec = grouping.load_group_spec(args.spec, dataset.vocab)
     prior = priors.load_temporal_prior(args.priors, spec, dataset.vocab)
     params, _, _ = model.load_checkpoint(args.checkpoint)

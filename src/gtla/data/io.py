@@ -286,11 +286,19 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     root = manifest_path.parent
     vocab = load_mapping(root / manifest["mapping"])
     sequences, features = [], []
+    seen: set[str] = set()
     for entry in manifest["sequences"]:
-        if not (isinstance(entry, dict)
+        if not (isinstance(entry, dict) and isinstance(entry.get("activity", ""), str)
                 and all(isinstance(entry.get(key), str) for key in ("id", "labels", "features"))):
             raise FormatError(f"{manifest_path}: sequence entry {entry!r} needs string "
-                              f"'id', 'labels' and 'features'")
+                              f"'id', 'labels' and 'features', and a string 'activity' if any")
+        if entry["id"] in ("", ".", "..") or "/" in entry["id"] or "\\" in entry["id"]:
+            raise FormatError(f"{manifest_path}: sequence entry {entry!r}: 'id' must be a "
+                              f"plain file name")
+        if entry["id"] in seen:
+            raise FormatError(f"{manifest_path}: sequence entry {entry!r} repeats id "
+                              f"{entry['id']!r}")
+        seen.add(entry["id"])
         seq = load_label_file(root / entry["labels"], vocab,
                               activity=entry.get("activity", ""),
                               seq_id=entry["id"])

@@ -121,7 +121,7 @@ def hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "average") -> 
         d[a] = d[:, a] = row
         d[b] = d[:, b] = np.inf
 
-    return np.unique(owner, return_inverse=True)[1].astype(np.int64)
+    return (np.cumsum(alive, dtype=np.int64) - 1)[owner]  # alive owners, numbered in order
 
 
 @dataclass(frozen=True)
@@ -188,48 +188,39 @@ def relabel_for_group(seq: FrameSeq | np.ndarray, spec: GroupSpec, k: int) -> np
     return table[labels]
 
 
-def build_group_spec(train: Corpus, mode: ByActivity | ByClustering,
-                     vocab: ClassVocab | None = None) -> GroupSpec:
-    """Derive the group structure from a training corpus."""
-    vocab = vocab or train.vocab
+def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpec:
+    """Derive the group structure from a training corpus.
+
+    One action-frequency row per sequence serves both modes: clustering reads
+    the rows, and a group's classes are the nonzero columns of its rows' sum.
+    """
+    if not train.sequences:
+        raise ConfigError("cannot group an empty training corpus")
+    freqs = np.stack([action_frequency(s, train.vocab) for s in train.sequences])
+    group_of_activity: dict[str, int] = {}
+    group_of_sequence: dict[str, int] = {}
+    centroids = None
     if isinstance(mode, ByActivity):
         activities = sorted({seq.activity for seq in train.sequences})
         group_of_activity = {a: k for k, a in enumerate(activities)}
-        membership = [group_of_activity[seq.activity] for seq in train.sequences]
+        membership = np.array([group_of_activity[seq.activity] for seq in train.sequences])
         n = len(activities)
-        group_of_sequence: dict[str, int] = {}
-        centroids = None
-        mode_name = "activity"
     elif isinstance(mode, ByClustering):
-        freqs = np.stack([action_frequency(s, vocab) for s in train.sequences])
         kl = np.stack([_kl(f, freqs) for f in freqs])  # kl[i, j] = KL(q_i || q_j)
-        dist = 0.5 * (kl + kl.T)
-        assignment = hierarchical_cluster(dist, mode.n, mode.linkage)
-        membership = [int(a) for a in assignment]
+        membership = hierarchical_cluster(0.5 * (kl + kl.T), mode.n, mode.linkage)
         n = mode.n
-        group_of_activity = {}
-        group_of_sequence = {s.id: m for s, m in zip(train.sequences, membership)}
-        centroids = tuple(tuple(freqs[assignment == k].mean(axis=0)) for k in range(n))
-        mode_name = "cluster"
+        group_of_sequence = dict(zip((s.id for s in train.sequences), membership.tolist()))
+        centroids = tuple(tuple(freqs[membership == k].mean(axis=0)) for k in range(n))
     else:
         raise ConfigError(f"unknown grouping mode {mode!r}")
 
-    classes: list[set[int]] = [set() for _ in range(n)]
-    sizes = [0] * n
-    for seq, k in zip(train.sequences, membership):
-        classes[k].update(int(c) for c in np.unique(seq.labels))
-        sizes[k] += 1
-    if any(size == 0 for size in sizes):
-        empty = [k for k, size in enumerate(sizes) if size == 0]
-        raise ConfigError(f"empty group(s): {empty}")
-
-    total = len(train.sequences)
-    weights = tuple(total / (n * size) for size in sizes)
+    sizes = np.bincount(membership, minlength=n).tolist()
     return GroupSpec(
         n=n,
-        mode=mode_name,
-        classes_of_group=tuple(tuple(sorted(c)) for c in classes),
-        group_weights=weights,
+        mode="activity" if isinstance(mode, ByActivity) else "cluster",
+        classes_of_group=tuple(tuple(np.flatnonzero(freqs[membership == k].sum(axis=0)).tolist())
+                               for k in range(n)),
+        group_weights=tuple(len(train.sequences) / (n * size) for size in sizes),
         group_of_activity=group_of_activity,
         group_of_sequence=group_of_sequence,
         centroids=centroids,

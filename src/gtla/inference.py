@@ -70,6 +70,9 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
     if len(dataset) and dataset.feature_dim != params.cfg.in_dim:
         raise ValueError(f"corpus features have dim {dataset.feature_dim}, "
                          f"model expects {params.cfg.in_dim}")
+    if params.cfg.head_sizes != spec.head_sizes():
+        raise ValueError(f"group spec has head sizes {spec.head_sizes()}, "
+                         f"model has {params.cfg.head_sizes}")
     return [predict_sequence(x, params, spec, seq_id=seq.id) for seq, x in dataset.widened()]
 
 

@@ -71,14 +71,9 @@ def class_prior(group_train: Sequence[FrameSeq], spec: GroupSpec, k: int) -> np.
     """
     if not group_train:
         raise ConfigError(f"group {k} has no training sequences")
-    num_real = spec.num_real_classes(k)
-    counts = np.zeros(num_real, dtype=np.float64)
-    total = 0
-    for seq in group_train:
-        local = relabel_for_group(seq, spec, k)
-        counts += np.bincount(local, minlength=num_real + 1)[:num_real]
-        total += local.size
-    return counts / total
+    counts = sum(np.bincount(relabel_for_group(seq, spec, k), minlength=spec.others_id(k) + 1)
+                 for seq in group_train)
+    return counts[:-1] / counts.sum()
 
 
 def extract_temporal_sets(segment_label_seqs: Iterable[Sequence[int]],
@@ -113,13 +108,8 @@ def extract_priors(train: Corpus, spec: GroupSpec) -> TemporalPrior:
         seqs = [s for s in train.sequences if spec.group_of(s) == k]
         prior = class_prior(seqs, spec, k)
         seg_seqs = [segment_labels(relabel_for_group(s, spec, k)) for s in seqs]
-        num_real = spec.num_real_classes(k)
-        precede, follow = [], []
-        for c in range(num_real):
-            bf, af = extract_temporal_sets(seg_seqs, c)
-            precede.append(bf)
-            follow.append(af)
-        groups.append(GroupPrior(prior, tuple(precede), tuple(follow)))
+        sets = [extract_temporal_sets(seg_seqs, c) for c in range(spec.num_real_classes(k))]
+        groups.append(GroupPrior(prior, tuple(bf for bf, _ in sets), tuple(af for _, af in sets)))
     return TemporalPrior(tuple(groups))
 
 

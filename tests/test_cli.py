@@ -260,6 +260,47 @@ class TestTrainEvalReport:
         assert err.startswith("error: --exclude") and "'nosuch'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("groups", ["cluster:1", "cluster:3"], ids=["too-few", "too-many"])
+    def test_spec_of_other_head_sizes_is_one_error_line(self, tmp_path, capsys, groups):
+        out = run_pipeline(tmp_path, "w", epochs=1)  # two activity groups
+        train_manifest = str(out / "corpus" / "train" / "manifest.json")
+        assert run(["cluster", "--data", train_manifest, "--groups", groups,
+                    "--out", str(out / "spec.json")]) == 0
+        assert run(["priors", "--data", train_manifest, "--spec", str(out / "spec.json"),
+                    "--out", str(out / "priors.json")]) == 0
+        capsys.readouterr()
+        assert run(eval_argv(out, out / "run" / "checkpoint.ckpt", out / "e2")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: group spec has head sizes") and err.count("\n") == 1
+        assert not (out / "e2").exists()
+
+    def test_train_data_listing_classes_in_other_order_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        mapping = out / "corpus" / "train" / "mapping.txt"
+        names = [line.split(None, 1)[1] for line in mapping.read_text().splitlines()]
+        mapping.write_text("".join(f"{i} {name}\n" for i, name in enumerate(reversed(names))))
+        # The permuted corpus is well-formed on its own.
+        assert data.load_corpus(out / "corpus" / "train" / "manifest.json").vocab.names == \
+            tuple(reversed(names))
+        capsys.readouterr()
+        assert run(eval_argv(out, out / "run" / "checkpoint.ckpt", out / "e2")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --train-data") and err.count("\n") == 1
+        assert not (out / "e2").exists()
+
+    def test_escaping_sequence_id_writes_nothing_outside_out(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        manifest = out / "corpus" / "test" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["sequences"][0]["id"] = "../../escaped"
+        manifest.write_text(json.dumps(payload))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(eval_argv(out, out / "run" / "checkpoint.ckpt", out / "e2")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "plain file name" in err and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_train_flag_overrides(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=1)
         run_cfg = out / "run.json"

@@ -323,6 +323,30 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="missing manifest key"):
             data.load_corpus(tmp_path / "manifest.json")
 
+    @staticmethod
+    def load_with_entry(tmp_path, **changes):
+        """Load a written corpus after ``changes`` to its second manifest entry."""
+        train, _ = data.synth_generate(tiny_cfg(seed=9))
+        manifest = data.write_corpus(train, tmp_path)
+        payload = data.io.read_json(manifest)
+        payload["sequences"][1].update(changes)
+        data.io.write_json(manifest, payload)
+        return data.load_corpus(manifest)
+
+    def test_non_string_activity_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match=r"manifest\.json: sequence entry .*'activity': 5"):
+            self.load_with_entry(tmp_path, activity=5)
+
+    @pytest.mark.parametrize("seq_id", ["", ".", "..", "../../escaped", "a/b", "a\\b"])
+    def test_id_must_be_a_plain_file_name(self, tmp_path, seq_id):
+        with pytest.raises(FormatError, match=r"manifest\.json: sequence entry .*plain file name"):
+            self.load_with_entry(tmp_path, id=seq_id)
+
+    def test_repeated_id_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match=r"manifest\.json: sequence entry .*repeats id "
+                                              r"'train_make_000'"):
+            self.load_with_entry(tmp_path, id="train_make_000")
+
 
 def test_load_corpus_frame_mismatch_rejected(tmp_path):
     train, _ = data.synth_generate(tiny_cfg(seed=13))

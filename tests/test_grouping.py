@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,52 @@ def oracle_hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "averag
     for new_id, c in enumerate(order):
         assignment[clusters[c]] = new_id
     return assignment
+
+
+def oracle_build_group_spec(train, mode):
+    """Group spec built as the set-up did before frequency rows served the class
+    lists: one ``np.unique`` set per sequence and a size count per group."""
+    vocab = train.vocab
+    if isinstance(mode, gtla.ByActivity):
+        activities = sorted({seq.activity for seq in train.sequences})
+        group_of_activity = {a: k for k, a in enumerate(activities)}
+        membership = [group_of_activity[seq.activity] for seq in train.sequences]
+        n = len(activities)
+        group_of_sequence = {}
+        centroids = None
+        mode_name = "activity"
+    else:
+        freqs = np.stack([gtla.action_frequency(s, vocab) for s in train.sequences])
+        kl = np.stack([grouping._kl(f, freqs) for f in freqs])  # kl[i, j] = KL(q_i || q_j)
+        dist = 0.5 * (kl + kl.T)
+        assignment = oracle_hierarchical_cluster(dist, mode.n, mode.linkage)
+        membership = [int(a) for a in assignment]
+        n = mode.n
+        group_of_activity = {}
+        group_of_sequence = {s.id: m for s, m in zip(train.sequences, membership)}
+        centroids = tuple(tuple(freqs[assignment == k].mean(axis=0)) for k in range(n))
+        mode_name = "cluster"
+
+    classes = [set() for _ in range(n)]
+    sizes = [0] * n
+    for seq, k in zip(train.sequences, membership):
+        classes[k].update(int(c) for c in np.unique(seq.labels))
+        sizes[k] += 1
+    if any(size == 0 for size in sizes):
+        empty = [k for k, size in enumerate(sizes) if size == 0]
+        raise ConfigError(f"empty group(s): {empty}")
+
+    total = len(train.sequences)
+    weights = tuple(total / (n * size) for size in sizes)
+    return grouping.GroupSpec(
+        n=n,
+        mode=mode_name,
+        classes_of_group=tuple(tuple(sorted(c)) for c in classes),
+        group_weights=weights,
+        group_of_activity=group_of_activity,
+        group_of_sequence=group_of_sequence,
+        centroids=centroids,
+    )
 
 
 def random_distances(rng, num, ties):
@@ -311,6 +361,44 @@ class TestBuildGroupSpec:
         pairs = {(seq.activity, spec.group_of(seq)) for seq in corpus.sequences}
         assert len(pairs) == 10
         assert len({a for a, _ in pairs}) == len({k for _, k in pairs}) == 10
+
+    @pytest.mark.parametrize("linkage", ["average", "complete", "single"])
+    def test_matches_unique_oracle(self, rng, linkage):
+        for _ in range(25):
+            num_classes = int(rng.integers(2, 9))
+            specs = []
+            for _ in range(int(rng.integers(1, 13))):
+                used = int(rng.integers(1, num_classes + 1))  # classes 0..used-1 may occur
+                specs.append((f"act{rng.integers(0, 3)}",
+                              rng.integers(0, used, size=int(rng.integers(1, 30)))))
+            corpus = make_corpus(specs, [f"c{i}" for i in range(num_classes)])
+            modes = [gtla.ByActivity()] + [gtla.ByClustering(n, linkage)
+                                           for n in range(1, len(specs) + 1)]
+            for mode in modes:
+                spec = gtla.build_group_spec(corpus, mode)
+                expected = oracle_build_group_spec(corpus, mode)
+                assert spec == expected, (mode, specs)
+                assert [type(w) for w in spec.group_weights] == \
+                    [type(w) for w in expected.group_weights]
+
+    @pytest.mark.parametrize("mode", [gtla.ByActivity(), gtla.ByClustering(n=1)])
+    def test_empty_corpus_rejected(self, mode):
+        with pytest.raises(ConfigError, match="empty training corpus"):
+            gtla.build_group_spec(make_corpus([], "ab"), mode)
+
+    def test_set_up_never_imports_numpy_ma(self):
+        # np.unique's first call imports numpy.ma, which costs about 14 ms.
+        script = (
+            "import sys, gtla\n"
+            "train, _ = gtla.synth_generate(gtla.longtail_benchmark_config("
+            "seed=0, train_per_activity=3, test_per_activity=1))\n"
+            "for mode in (gtla.ByActivity(), gtla.ByClustering(n=3)):\n"
+            "    gtla.extract_priors(train, gtla.build_group_spec(train, mode))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(gtla.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout == "False\n"
 
     def test_nearest_group_diagnostic(self):
         specs = [("x", [0] * 10), ("x", [0] * 9 + [1]), ("y", [2] * 10), ("y", [2] * 9 + [1])]

@@ -152,6 +152,13 @@ class TestPredictCorpus:
         with pytest.raises(ValueError, match="dim"):
             gtla.predict_corpus(gtla.init_params(bad), corpus, spec)
 
+    def test_head_sizes_mismatch_rejected(self, rng):
+        corpus, spec, prior, params = tiny_problem(rng)
+        bad = gtla.BackboneConfig(in_dim=corpus.feature_dim, hidden=4, num_layers=1,
+                                  head_sizes=spec.head_sizes() + (2,))
+        with pytest.raises(ValueError, match="head sizes"):
+            gtla.predict_corpus(gtla.init_params(bad), corpus, spec)
+
 
 class TestWritePredictions:
     def test_files_and_sidecars(self, tmp_path, rng):

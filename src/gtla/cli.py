@@ -1,7 +1,7 @@
 """Command-line front end: synth, cluster, priors, train, eval, report.
 
 Every command reads/writes plain files (JSON configs and reports, text
-labels, binary features, ``.npz`` checkpoints) so a full experiment is a
+labels, ``.npy`` features, ``.npz`` checkpoints) so a full experiment is a
 short shell script. Config files carry a version field and unknown keys are
 rejected, which catches misspelled hyperparameters early. All commands exit
 non-zero with a one-line diagnostic on malformed input.
@@ -234,6 +234,10 @@ def cmd_eval(args) -> int:
     if unknown:
         raise ConfigError(f"--exclude: unknown class(es) {unknown}")
     train_corpus = data.load_corpus(args.train_data)
+    for flag, path, corpus in (("--data", args.data, dataset),
+                               ("--train-data", args.train_data, train_corpus)):
+        if not len(corpus):
+            raise ConfigError(f"{flag}: {path} lists no sequences")
     if train_corpus.vocab != dataset.vocab:
         raise ConfigError(f"--train-data: the class mapping of {args.train_data} "
                           f"differs from that of {args.data}")

@@ -1,7 +1,6 @@
 """Corpus types, Breakfast-format I/O, and the synthetic corpus generator."""
 
 from .io import (
-    FEATURE_MAGIC,
     ClassVocab,
     Corpus,
     FeatureMatrix,

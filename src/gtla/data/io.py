@@ -1,14 +1,14 @@
 """Core sequence types and Breakfast-format file I/O.
 
 A corpus on disk is a mapping file (``<id> <name>`` per line), one label
-file per sequence (one class name per line), one binary feature file per
-sequence, and a JSON manifest tying them together.
+file per sequence (one class name per line), one (dim, frames) float32
+``.npy`` feature file per sequence, and a JSON manifest tying them together.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ..errors import FormatError
-
-FEATURE_MAGIC = b"GTLAFEAT"
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class FrameSeq:
 
 @dataclass
 class FeatureMatrix:
-    """D x T real-valued features, frame-major on disk, float32 there and in memory."""
+    """D x T real-valued features, float32 on disk and in memory."""
 
     values: np.ndarray
 
@@ -183,31 +181,36 @@ def write_label_file(path: str | Path, seq: FrameSeq, vocab: ClassVocab) -> None
     Path(path).write_text(text, encoding="utf-8")
 
 
+# np.save's format-1.0 header for a (D, T) <f4 array: magic, version, u16-LE length, padded dict.
+_NPY_HEADER = re.compile(rb"\x93NUMPY\x01\x00(..)\{'descr': '<f4', 'fortran_order': (True|False), "
+                         rb"'shape': \((\d+), (\d+)\), \} *\n", re.DOTALL)
+
+
 def load_features(path: str | Path, dim: int) -> FeatureMatrix:
-    """Read a binary feature file, checking magic, dimension, and length, without a copy."""
+    """Read a (dim, frames) float32 ``.npy`` file as a read-only view of its bytes, no copy."""
     blob = Path(path).read_bytes()
-    header = len(FEATURE_MAGIC) + 8
-    if len(blob) < header or blob[: len(FEATURE_MAGIC)] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a feature file")
-    file_dim, num_frames = struct.unpack("<II", blob[len(FEATURE_MAGIC):header])
+    header = _NPY_HEADER.match(blob)
+    if header is None or int.from_bytes(header[1], "little") != header.end() - 10:
+        raise FormatError(f"{path}: not a 2-D little-endian float32 .npy file (format 1.0)")
+    file_dim, num_frames = int(header[3]), int(header[4])
     if file_dim != dim:
         raise FormatError(f"{path}: feature dim is {file_dim}, expected {dim}")
-    expected = header + 4 * file_dim * num_frames
-    if len(blob) < expected:
-        raise FormatError(f"{path}: truncated payload "
-                          f"({len(blob) - header} of {expected - header} bytes)")
-    if len(blob) > expected:
-        raise FormatError(f"{path}: {len(blob) - expected} trailing bytes")
-    flat = np.frombuffer(blob, dtype="<f4", offset=header)
-    # frame-major on disk: all D values of frame 0, then frame 1, ...
-    values = flat.reshape(num_frames, file_dim).T
-    return FeatureMatrix(values)
+    payload, expected = len(blob) - header.end(), 4 * file_dim * num_frames
+    if payload < expected:
+        raise FormatError(f"{path}: truncated payload ({payload} of {expected} bytes)")
+    if payload > expected:
+        raise FormatError(f"{path}: {payload - expected} trailing bytes")
+    values = np.frombuffer(blob, dtype="<f4", offset=header.end()).reshape(
+        (file_dim, num_frames), order="F" if header[2] == b"True" else "C")
+    try:
+        return FeatureMatrix(values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_features(path: str | Path, feats: FeatureMatrix) -> None:
-    header = FEATURE_MAGIC + struct.pack("<II", feats.dim, feats.num_frames)
-    payload = feats.values.T.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:  # given a path, np.save would append ".npy" to it
+        np.save(fh, np.asfortranarray(feats.values, dtype="<f4"))  # frame-major payload
 
 
 def segments_from_frames(seq: FrameSeq | np.ndarray) -> list[Segment]:
@@ -238,7 +241,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     entries = []
     for seq, feats in corpus:
         label_rel = f"groundTruth/{seq.id}.txt"
-        feat_rel = f"features/{seq.id}.feat"
+        feat_rel = f"features/{seq.id}.npy"
         write_label_file(out / label_rel, seq, corpus.vocab)
         write_features(out / feat_rel, feats)
         entries.append({"id": seq.id, "activity": seq.activity,

@@ -33,10 +33,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        floats = (self.tau, self.eta, self.smooth_weight, self.smooth_clip, self.lr)
+        if not np.all(np.isfinite(floats)):
+            raise ConfigError("tau, eta, smooth_weight, smooth_clip and lr must be finite")
         if self.tau < 0 or self.eta < 0 or self.smooth_weight < 0:
             raise ConfigError("tau, eta and smooth_weight must be >= 0")
-        if self.smooth_clip <= 0:
-            raise ConfigError("smooth_clip must be > 0")
+        if self.smooth_clip <= 0 or self.lr <= 0:
+            raise ConfigError("smooth_clip and lr must be > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
 

@@ -211,6 +211,23 @@ class TestClusterAndPriors:
         assert run(["cluster", "--data", str(manifest), "--groups", "banana",
                     "--out", str(tmp_path / "s.json")]) == 1
 
+    def test_non_finite_feature_is_one_error_line_naming_the_file(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path)
+        run(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        manifest = tmp_path / "c" / "train" / "manifest.json"
+        feature_file = next((tmp_path / "c" / "train" / "features").glob("*.npy"))
+        values = np.load(feature_file, allow_pickle=False)
+        values[1, 2] = np.nan
+        with open(feature_file, "wb") as fh:
+            np.save(fh, values)
+        capsys.readouterr()
+        assert run(["cluster", "--data", str(manifest), "--groups", "activity",
+                    "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert feature_file.name in err and "non-finite" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_priors_json_shape(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=1)
         payload = json.loads((out / "priors.json").read_text())
@@ -287,6 +304,20 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith("error: --train-data") and err.count("\n") == 1
         assert not (out / "e2").exists()
+
+    @pytest.mark.parametrize("flag, split", [("--data", "test"), ("--train-data", "train")])
+    def test_empty_corpus_is_one_error_line(self, tmp_path, capsys, flag, split):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        manifest = out / "corpus" / split / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["sequences"] = []
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(eval_argv(out, out / "run" / "checkpoint.ckpt", out / "e2")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "no sequences" in err
+        assert err.count("\n") == 1
+        assert not (out / "e2" / "report.json").exists()
 
     def test_escaping_sequence_id_writes_nothing_outside_out(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -477,12 +508,12 @@ class TestRunConfigSchema:
         ("groups", "mode", 5), ("groups", "linkage", 5), ("groups", "spec", 5),
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
-        ("groups", "mode", "cluster:3"),
+        ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", float("nan")),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
-            "mode-flag-spelling"])
+            "mode-flag-spelling", "lr-negative", "tau-nan"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":

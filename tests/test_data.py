@@ -1,4 +1,5 @@
 import hashlib
+import io
 import tracemalloc
 from dataclasses import replace
 
@@ -80,48 +81,105 @@ class TestLabelFile:
             data.load_label_file(path, vocab)
 
 
+def npy_bytes(values, **kwargs):
+    """The bytes ``np.lib.format.write_array`` writes for ``values``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, values, **kwargs)
+    return buf.getvalue()
+
+
 class TestFeatureFile:
     def test_roundtrip(self, tmp_path):
         feats = data.FeatureMatrix(np.arange(6, dtype=np.float64).reshape(2, 3))
-        data.write_features(tmp_path / "f.feat", feats)
-        loaded = data.load_features(tmp_path / "f.feat", 2)
+        data.write_features(tmp_path / "f.npy", feats)
+        loaded = data.load_features(tmp_path / "f.npy", 2)
         assert loaded.dim == 2 and loaded.num_frames == 3
         assert np.array_equal(loaded.values, feats.values)
+        assert loaded.values.flags.f_contiguous and not loaded.values.flags.writeable
+
+    def test_written_file_is_standard_npy(self, tmp_path):
+        feats = data.FeatureMatrix(np.random.default_rng(0).normal(size=(3, 5)))
+        data.write_features(tmp_path / "f.npy", feats)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.npy"]
+        loaded = np.load(tmp_path / "f.npy", allow_pickle=False)
+        assert loaded.dtype == np.dtype("<f4") and loaded.flags.f_contiguous
+        assert np.array_equal(loaded, feats.values)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_np_save_output_loads_as_np_load_reads_it(self, tmp_path, order):
+        values = np.random.default_rng(1).normal(size=(4, 7)).astype("<f4")
+        with open(tmp_path / "f.npy", "wb") as fh:
+            np.save(fh, np.asarray(values, order=order))
+        loaded = data.load_features(tmp_path / "f.npy", 4).values
+        reference = np.load(tmp_path / "f.npy", allow_pickle=False)
+        assert np.array_equal(loaded, reference)
+        assert loaded.flags.f_contiguous == (order == "F")
+        assert loaded.flags.c_contiguous == (order == "C")
 
     def test_frame_major_layout(self, tmp_path):
         feats = data.FeatureMatrix(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-        data.write_features(tmp_path / "f.feat", feats)
-        blob = (tmp_path / "f.feat").read_bytes()
-        flat = np.frombuffer(blob, dtype="<f4", offset=16)
+        data.write_features(tmp_path / "f.npy", feats)
+        blob = (tmp_path / "f.npy").read_bytes()
+        header_end = blob.index(b"\n") + 1  # the .npy header ends with a newline
+        flat = np.frombuffer(blob, dtype="<f4", offset=header_end)
         # all D values of frame 0, then frame 1, ...
         assert flat.tolist() == [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]
 
     def test_bad_magic(self, tmp_path):
-        (tmp_path / "f.feat").write_bytes(b"NOTAFEAT" + b"\0" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            data.load_features(tmp_path / "f.feat", 2)
+        (tmp_path / "f.npy").write_bytes(b"NOTAFEAT" + b"\0" * 16)
+        with pytest.raises(FormatError, match=r"f\.npy: not a 2-D little-endian float32 \.npy"):
+            data.load_features(tmp_path / "f.npy", 2)
+
+    @pytest.mark.parametrize("blob", [
+        npy_bytes(np.zeros((2, 3), dtype="<f8")),
+        npy_bytes(np.zeros((2, 3), dtype=">f4")),
+        npy_bytes(np.zeros((2, 3, 1), dtype="<f4")),
+        npy_bytes(np.zeros(6, dtype="<f4")),
+        npy_bytes(np.zeros((2, 3), dtype="<f4"), version=(2, 0)),
+        npy_bytes(np.zeros((2, 3), dtype="<f4"), version=(3, 0)),
+        b"",
+    ], ids=["float64", "big-endian", "3-D", "1-D", "version-2", "version-3", "empty"])
+    def test_other_npy_is_one_error(self, tmp_path, blob):
+        (tmp_path / "f.npy").write_bytes(blob)
+        with pytest.raises(FormatError, match=r"f\.npy: not a 2-D little-endian float32 \.npy"):
+            data.load_features(tmp_path / "f.npy", 2)
+
+    @pytest.mark.parametrize("bit", range(16))
+    def test_header_length_field_with_a_bit_flipped(self, tmp_path, bit):
+        blob = bytearray(npy_bytes(np.zeros((2, 3), dtype="<f4")))
+        blob[8 + bit // 8] ^= 1 << (bit % 8)  # the u16-LE header length at offset 8
+        (tmp_path / "f.npy").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"f\.npy: not a 2-D little-endian float32 \.npy"):
+            data.load_features(tmp_path / "f.npy", 2)
+
+    def test_non_finite_value_names_the_file(self, tmp_path):
+        values = np.zeros((2, 3), dtype="<f4")
+        values[1, 2] = np.nan
+        (tmp_path / "f.npy").write_bytes(npy_bytes(values))
+        with pytest.raises(FormatError, match=r"f\.npy: features contain non-finite values"):
+            data.load_features(tmp_path / "f.npy", 2)
 
     def test_dim_mismatch(self, tmp_path):
         feats = data.FeatureMatrix(np.zeros((2, 3)))
-        data.write_features(tmp_path / "f.feat", feats)
+        data.write_features(tmp_path / "f.npy", feats)
         with pytest.raises(FormatError, match="dim is 2, expected 4"):
-            data.load_features(tmp_path / "f.feat", 4)
+            data.load_features(tmp_path / "f.npy", 4)
 
     def test_truncated_payload(self, tmp_path):
         feats = data.FeatureMatrix(np.zeros((2, 3)))
-        data.write_features(tmp_path / "f.feat", feats)
-        blob = (tmp_path / "f.feat").read_bytes()
-        (tmp_path / "f.feat").write_bytes(blob[:-4])  # drop one float
+        data.write_features(tmp_path / "f.npy", feats)
+        blob = (tmp_path / "f.npy").read_bytes()
+        (tmp_path / "f.npy").write_bytes(blob[:-4])  # drop one float
         with pytest.raises(FormatError, match="truncated"):
-            data.load_features(tmp_path / "f.feat", 2)
+            data.load_features(tmp_path / "f.npy", 2)
 
     def test_trailing_bytes(self, tmp_path):
         feats = data.FeatureMatrix(np.zeros((2, 3)))
-        data.write_features(tmp_path / "f.feat", feats)
-        blob = (tmp_path / "f.feat").read_bytes()
-        (tmp_path / "f.feat").write_bytes(blob + b"\0\0\0\0")
+        data.write_features(tmp_path / "f.npy", feats)
+        blob = (tmp_path / "f.npy").read_bytes()
+        (tmp_path / "f.npy").write_bytes(blob + b"\0\0\0\0")
         with pytest.raises(FormatError, match="trailing"):
-            data.load_features(tmp_path / "f.feat", 2)
+            data.load_features(tmp_path / "f.npy", 2)
 
 
 class TestFeatureMatrix:
@@ -354,7 +412,7 @@ def test_load_corpus_frame_mismatch_rejected(tmp_path):
     # shorten one feature file so frames no longer match the labels
     entry = train.sequences[0]
     short = data.FeatureMatrix(train.features[0].values[:, :-1])
-    data.write_features(tmp_path / "features" / f"{entry.id}.feat", short)
+    data.write_features(tmp_path / "features" / f"{entry.id}.npy", short)
     with pytest.raises(FormatError, match="frames"):
         data.load_corpus(manifest)
 

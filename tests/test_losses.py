@@ -300,13 +300,14 @@ class TestTotalLoss:
         # different methods produce different objectives on non-trivial input
         assert values["ce"] != pytest.approx(values["la"])
 
-    def test_invalid_config_rejected(self):
+    @pytest.mark.parametrize("changes", [
+        {"method": "banana"}, {"tau": -0.1}, {"smooth_clip": 0.0}, {"lr": -0.5}, {"lr": 0.0},
+        *({name: value} for name in ("tau", "eta", "smooth_weight", "smooth_clip", "lr")
+          for value in (np.inf, -np.inf, np.nan)),
+    ], ids=lambda changes: ",".join(f"{k}={v}" for k, v in changes.items()))
+    def test_invalid_config_rejected(self, changes):
         with pytest.raises(ConfigError):
-            losses.TrainConfig(method="banana")
-        with pytest.raises(ConfigError):
-            losses.TrainConfig(tau=-0.1)
-        with pytest.raises(ConfigError):
-            losses.TrainConfig(smooth_clip=0.0)
+            losses.TrainConfig(**changes)
 
 
 # The two-pass objective the single pass replaced, kept verbatim as an oracle:

@@ -32,14 +32,13 @@ from .grouping import (
     relabel_for_group,
     symmetric_kl,
 )
-from .inference import Prediction, decode_labels, identify_group, predict_corpus
+from .inference import Prediction, predict_corpus
 from .losses import TrainConfig, ce_loss, gtla_adjust, gtla_loss, la_loss, smoothing_loss, total_loss
 from .metrics import (
     HeadTailSplit,
     MetricsReport,
     compute_report,
     edit_score,
-    f1_at_iou,
     fp_taxonomy,
     group_id_accuracy,
     head_tail_split,

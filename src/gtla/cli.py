@@ -99,6 +99,14 @@ def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering
     raise ConfigError(f"--groups must be 'activity' or 'cluster:N', got {text!r}")
 
 
+def _group_spec(corpus: data.Corpus, mode, ctx: str) -> grouping.GroupSpec:
+    """``build_group_spec``, its ``ValueError`` naming the flag or section that set ``mode``."""
+    try:
+        return grouping.build_group_spec(corpus, mode)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
 def cmd_synth(args) -> int:
     if args.preset:
         if args.preset != "longtail":
@@ -124,7 +132,7 @@ def cmd_synth(args) -> int:
 
 def cmd_cluster(args) -> int:
     corpus = data.load_corpus(args.data)
-    spec = grouping.build_group_spec(corpus, _parse_groups_mode(args.groups))
+    spec = _group_spec(corpus, _parse_groups_mode(args.groups), f"--groups {args.groups}")
     grouping.save_group_spec(args.out, spec, corpus.vocab)
     sizes = [sum(1 for s in corpus.sequences if spec.group_of(s) == k)
              for k in range(spec.n)]
@@ -160,9 +168,11 @@ def cmd_train(args) -> int:
         seed = _typed(payload["seed"], int, "run config", "seed")
     train_cfg = _from_json(losses.TrainConfig, _get(payload, "train", dict, "run config", {}),
                            "train section", seed=seed)
-    train_cfg = replace(train_cfg, **{f.name: getattr(args, f.name)
-                                      for f in fields(train_cfg)
-                                      if getattr(args, f.name, None) is not None})
+    for f in fields(train_cfg):  # one flag at a time, so an error names its flag
+        if (value := getattr(args, f.name, None)) is not None:
+            flag = f"--{_JSON_NAMES.get(f.name, f.name)} {value}"
+            train_cfg = _from_json(losses.TrainConfig, {}, flag,
+                                   **{**train_cfg.to_dict(), f.name: value})
 
     out_field = _get(payload, "out", str, "run config")
     out = Path(args.out or out_field or "run")
@@ -181,7 +191,8 @@ def cmd_train(args) -> int:
     if "spec" in files:
         spec = grouping.load_group_spec(root / files["spec"], corpus.vocab)
     else:
-        spec = grouping.build_group_spec(corpus, mode)
+        spec = _group_spec(corpus, mode, f"--groups {args.groups}" if args.groups
+                           else "groups section")
     if "priors" in files:
         prior = priors.load_temporal_prior(root / files["priors"], spec, corpus.vocab)
     else:
@@ -241,6 +252,10 @@ def cmd_eval(args) -> int:
     if train_corpus.vocab != dataset.vocab:
         raise ConfigError(f"--train-data: the class mapping of {args.train_data} "
                           f"differs from that of {args.data}")
+    try:
+        split = metrics.head_tail_split(train_corpus, args.head_threshold)
+    except ValueError as exc:
+        raise ConfigError(f"--head-threshold {args.head_threshold}: {exc}") from exc
     spec = grouping.load_group_spec(args.spec, dataset.vocab)
     prior = priors.load_temporal_prior(args.priors, spec, dataset.vocab)
     params, _, _ = model.load_checkpoint(args.checkpoint)
@@ -248,7 +263,6 @@ def cmd_eval(args) -> int:
     predictions = inference.predict_corpus(params, dataset, spec)
     gt_groups = [spec.nearest_group(seq, dataset.vocab) for seq in dataset.sequences]
 
-    split = metrics.head_tail_split(train_corpus, args.head_threshold)
     excluded = tuple(dataset.vocab.id_of(name) for name in args.exclude or ())
     report = metrics.compute_report(predictions, dataset, spec, prior, split,
                                     gt_groups, exclude_classes=excluded)

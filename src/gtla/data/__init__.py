@@ -6,7 +6,6 @@ from .io import (
     FeatureMatrix,
     FrameSeq,
     Segment,
-    frames_from_segments,
     load_corpus,
     load_features,
     load_label_file,

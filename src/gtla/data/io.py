@@ -222,11 +222,6 @@ def segments_from_frames(seq: FrameSeq | np.ndarray) -> list[Segment]:
     return [Segment(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
 
 
-def frames_from_segments(segments: list[Segment]) -> np.ndarray:
-    """Expand segments back to a per-frame label array."""
-    return np.concatenate([np.full(e - s, c, dtype=np.int64) for c, s, e in segments])
-
-
 def segment_labels(seq: FrameSeq | np.ndarray) -> list[int]:
     """Segment-level label list of a sequence (one entry per segment)."""
     return [s.label for s in segments_from_frames(seq)]

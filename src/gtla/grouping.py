@@ -152,12 +152,6 @@ class GroupSpec:
     def head_sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) + 1 for cls in self.classes_of_group)
 
-    def local_to_global(self, k: int) -> tuple[int, ...]:
-        return self.classes_of_group[k]
-
-    def global_to_local(self, k: int) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.classes_of_group[k])}
-
     def group_of(self, seq: FrameSeq) -> int:
         if self.mode == "activity":
             if seq.activity not in self.group_of_activity:

@@ -25,44 +25,18 @@ class Prediction:
     seq_id: str
     group: int
     labels: np.ndarray       # global class ids, length T
-    probs: np.ndarray        # winning class probability per frame
     others_prob: np.ndarray  # mean `others` probability per group
-
-
-def identify_group(logits: list[np.ndarray], spec: GroupSpec) -> int:
-    """Group with the lowest mean ``others`` probability; ties pick the lowest index."""
-    return _lowest_others([softmax(s) for s in logits], spec)[0]
-
-
-def _lowest_others(probs: list[np.ndarray], spec: GroupSpec) -> tuple[int, np.ndarray]:
-    """The group rule on each head's softmax: (group, mean ``others`` probability per group)."""
-    means = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
-    return int(np.argmin(means)), means
-
-
-def decode_labels(logits: np.ndarray, spec: GroupSpec, k: int,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame argmax over group k's real classes, as global ids.
-
-    The ``others`` row is excluded, so decoded labels always stay inside
-    the group's class list; ties pick the lowest local index.
-    """
-    return _decode(softmax(logits), spec, k)
-
-
-def _decode(probs: np.ndarray, spec: GroupSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    real = probs[:spec.num_real_classes(k)]
-    local = real.argmax(axis=0)
-    mapping = np.asarray(spec.local_to_global(k), dtype=np.int64)
-    return mapping[local], real[local, np.arange(local.size)]
 
 
 def predict_sequence(features, params: ModelParams, spec: GroupSpec,
                      seq_id: str = "") -> Prediction:
+    """Group and labels of one sequence by the rule above; ties pick the lowest index."""
     probs = [softmax(s) for s in forward(features, params, mode="eval").logits]
-    k, others = _lowest_others(probs, spec)
-    labels, winner = _decode(probs[k], spec, k)
-    return Prediction(seq_id, k, labels, winner, others)
+    others = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
+    k = int(np.argmin(others))
+    local = probs[k][:spec.num_real_classes(k)].argmax(axis=0)
+    return Prediction(seq_id, k, np.asarray(spec.classes_of_group[k], dtype=np.int64)[local],
+                      others)
 
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:

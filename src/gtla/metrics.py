@@ -130,19 +130,12 @@ def match_counts(pred_segments, gt_segments, threshold: float) -> tuple[int, int
     return tp, len(pred_segments) - tp, len(gt_segments) - tp
 
 
-def f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
-        return precision, recall, 0.0
-    return precision, recall, 2.0 * precision * recall / (precision + recall)
-
-
-def f1_at_iou(pred_segments, gt_segments, threshold: float) -> tuple[float, float, float]:
-    """(precision, recall, F1) of the greedy IoU matching at one threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return f1_from_counts(*match_counts(pred_segments, gt_segments, threshold))
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def harmonic_mean(head: float, tail: float) -> float:
@@ -161,7 +154,7 @@ class HeadTailSplit:
 
 def head_tail_split(train: Corpus, threshold: float) -> HeadTailSplit:
     """Split classes by training frame count against the threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ValueError("threshold must be > 0")
     counts = np.zeros(len(train.vocab), dtype=np.int64)
     for seq in train.sequences:
@@ -209,7 +202,7 @@ def balanced_f1(pred_segments_per_seq: Sequence[Sequence[Segment]],
         num_pred.update(s.label for s in preds)
         num_gt.update(s.label for s in gts)
         tp.update(s.label for s, m in zip(preds, matches, strict=True) if m is not None)
-    per_class = {c: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c])[2] * 100.0
+    per_class = {c: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
                  for c in sorted(num_pred.keys() | num_gt.keys())}
     head, tail, hmean = _split_average(per_class, split)
     return head, tail, hmean, per_class
@@ -225,16 +218,16 @@ def fp_taxonomy(pred_segments: Sequence[Segment], matches: Sequence[int | None],
     group but whose midpoint falls outside the class's ground-truth-derived
     temporal bounds are FP2; the rest are FP3.
     """
-    to_local = spec.global_to_local(group)
+    classes = spec.classes_of_group[group]
     lo, hi = bounds_matrix(relabel_for_group(gt_seq, spec, group), prior.groups[group])
     counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
     for seg, match in zip(pred_segments, matches, strict=True):
         if match is not None:
             counts["tp"] += 1
-        elif seg.label not in to_local:
+        elif seg.label not in classes:
             counts["fp1"] += 1
         else:
-            c = to_local[seg.label]
+            c = classes.index(seg.label)
             midpoint = (seg.start + seg.end) // 2
             counts["fp2" if not lo[c] <= midpoint <= hi[c] else "fp3"] += 1
     return counts
@@ -314,7 +307,7 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
     num_gt = sum(map(len, gt_segs))
     for t in IOU_THRESHOLDS:
         tp = sum(m is not None for seq_matches in matches[t] for m in seq_matches)
-        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(tp, num_pred - tp, num_gt - tp)[2] * 100.0
+        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(tp, num_pred - tp, num_gt - tp) * 100.0
 
     recalls = per_class_recall(pred_labels, gt_labels, len(vocab))
     recalls = {c: v for c, v in recalls.items() if c not in excluded}

@@ -90,9 +90,6 @@ class ModelParams:
     def __post_init__(self):
         self.values = FlatTensors(self.cfg, self.values)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, self.values)
-
 
 def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization of every tensor."""

@@ -74,6 +74,20 @@ def tiny_problem(rng, max_dim=4, max_frames=12, max_hidden=8, max_layers=2,
     return corpus, spec, prior, params
 
 
+def logit_params(head_sizes):
+    """Params whose ``forward`` on ``np.concatenate(logits)`` returns ``logits``
+    exactly: an identity input layer, all-zero residual branches, and head i
+    reading the i-th block of ``head_sizes[i]`` feature rows."""
+    dim = sum(head_sizes)
+    cfg = gtla.BackboneConfig(in_dim=dim, hidden=dim, num_layers=1,
+                              head_sizes=tuple(head_sizes))
+    params = gtla.ModelParams(cfg, None)
+    params.values["in.w"][...] = np.eye(dim)
+    for i, start in enumerate(np.cumsum((0,) + tuple(head_sizes[:-1]))):
+        params.values[f"head{i}.w"][start:start + head_sizes[i]] = np.eye(head_sizes[i])
+    return params
+
+
 def edit_checkpoint(path, edit):
     """Apply edit(members) to the dict of a checkpoint's ``.npz`` members in
     place, then write the members back to ``path``."""

@@ -549,6 +549,33 @@ class TestRunConfigSchema:
         assert logged["tau"] == 1.0 and isinstance(logged["tau"], float)
 
 
+class TestBadFlagValues:
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        return run_pipeline(tmp_path_factory.mktemp("flags"), "w", epochs=1)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--tau", "inf"), ("train", "--lambda", "nan"), ("train", "--eta", "-1"),
+        ("train", "--epochs", "0"), ("train", "--groups", "cluster:0"),
+        ("train", "--groups", "cluster:999"), ("cluster", "--groups", "cluster:0"),
+        ("cluster", "--groups", "cluster:999"), ("eval", "--head-threshold", "nan"),
+        ("eval", "--head-threshold", "0"), ("eval", "--head-threshold", "-5"),
+    ])
+    def test_error_line_names_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
+        dest = tmp_path / "out"
+        argv = {"train": ["train", "--config", str(pipeline / "run.json")],
+                "cluster": ["cluster", "--data",
+                            str(pipeline / "corpus" / "train" / "manifest.json")],
+                # the later --head-threshold overrides the one eval_argv passes
+                "eval": eval_argv(pipeline, pipeline / "run" / "checkpoint.ckpt", dest)[:-2],
+                }[command]
+        assert run(argv + [flag, value, "--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert err.startswith(f"error: {flag} ")
+        assert not dest.exists()
+
+
 class TestReportCommand:
     """`gtla report` reads every column and count through one checked path."""
 

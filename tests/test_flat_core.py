@@ -218,7 +218,7 @@ def random_grads(params, rng, scale=1.0):
 
 def test_adam_matches_per_tensor_reference_over_five_steps(rng):
     params = gtla.init_params(backbone(0.0))
-    ref_params = params.copy()
+    ref_params = gtla.ModelParams(params.cfg, params.values)
     state = gtla.AdamState(params.cfg)
     ref = ref_state(state)
     for step in range(5):
@@ -243,7 +243,7 @@ def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
         assert isinstance(moment, model.FlatTensors)
         assert_tensors_equal(moment, {n: a.astype(np.float32).astype(np.float64)
                                       for n, a in saved.items()})
-    ref_params, ref = loaded.copy(), ref_state(adam)
+    ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values), ref_state(adam)
     buffers = (adam.m.flat, adam.v.flat)
     for grads in steps[1:]:
         gtla.adam_step(loaded, grads, adam)

@@ -276,9 +276,9 @@ class TestBuildGroupSpec:
         corpus = make_corpus([("x", [0, 1, 0]), ("y", [2, 1, 2])], "abc")
         spec = gtla.build_group_spec(corpus, gtla.ByActivity())
         assert 1 in spec.classes_of_group[0] and 1 in spec.classes_of_group[1]
-        local_x = spec.global_to_local(0)[1]
-        local_y = spec.global_to_local(1)[1]
-        assert spec.local_to_global(0)[local_x] == spec.local_to_global(1)[local_y] == 1
+        local_x, = gtla.relabel_for_group(np.array([1]), spec, 0)
+        local_y, = gtla.relabel_for_group(np.array([1]), spec, 1)
+        assert spec.classes_of_group[0][local_x] == spec.classes_of_group[1][local_y] == 1
 
     def test_group_weights(self):
         specs = [("x", [0])] * 30 + [("y", [1])] * 10
@@ -432,7 +432,7 @@ class TestRelabel:
         seq = corpus.sequences[0]
         for k in range(2):
             local = gtla.relabel_for_group(seq, spec, k)
-            shared_local = spec.global_to_local(k)[1]
+            shared_local = spec.classes_of_group[k].index(1)
             assert local[1] == shared_local != spec.others_id(k)
 
     def test_total_every_frame_labeled(self, rng):

@@ -52,7 +52,7 @@ def oracle_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, threshold, sp
             tp[c] = tp.get(c, 0) + t
             fp[c] = fp.get(c, 0) + f
             fn[c] = fn.get(c, 0) + n
-    per_class = {c: metrics.f1_from_counts(tp[c], fp[c], fn[c])[2] * 100.0 for c in tp}
+    per_class = {c: metrics.f1_from_counts(tp[c], fp[c], fn[c]) * 100.0 for c in tp}
     head, tail, hmean = metrics._split_average(per_class, split)
     return head, tail, hmean, per_class
 
@@ -61,6 +61,11 @@ def balanced_f1_at(pred, gt, threshold, split):
     """balanced_f1 on freshly matched segments at one threshold."""
     matches = [metrics.match_segments(p, g, threshold) for p, g in zip(pred, gt)]
     return metrics.balanced_f1(pred, gt, matches, split)
+
+
+def f1_at(pred_segments, gt_segments, threshold):
+    """Segment F1 at one IoU threshold, counted as ``compute_report`` counts it."""
+    return metrics.f1_from_counts(*metrics.match_counts(pred_segments, gt_segments, threshold))
 
 
 def taxonomy(pred, seq, spec, prior):
@@ -156,14 +161,16 @@ class TestF1AtIoU:
         labels = rng.integers(0, 3, size=30)
         segs = segments_from_frames(labels)
         for threshold in metrics.IOU_THRESHOLDS:
-            assert gtla.f1_at_iou(segs, segs, threshold) == (1.0, 1.0, 1.0)
+            # all matched, none spurious or missed: precision = recall = 1
+            assert metrics.match_counts(segs, segs, threshold) == (len(segs), 0, 0)
+            assert f1_at(segs, segs, threshold) == 1.0
 
     def test_half_overlap_is_third_iou(self):
         pred = [Segment(1, 0, 10)]
         gt = [Segment(1, 5, 15)]
         assert metrics.segment_iou(pred[0], gt[0]) == pytest.approx(1 / 3)
-        assert gtla.f1_at_iou(pred, gt, 0.25)[2] == 1.0   # TP at 0.25
-        assert gtla.f1_at_iou(pred, gt, 0.50)[2] == 0.0   # FP at 0.50
+        assert f1_at(pred, gt, 0.25) == 1.0   # TP at 0.25
+        assert f1_at(pred, gt, 0.50) == 0.0   # FP at 0.50
 
     def test_duplicate_predictions_consume_gt_once(self):
         gt = [Segment(1, 0, 10)]
@@ -179,7 +186,7 @@ class TestF1AtIoU:
         for _ in range(50):
             pred = segments_from_frames(rng.integers(0, 3, size=20))
             gt = segments_from_frames(rng.integers(0, 3, size=20))
-            f1s = [gtla.f1_at_iou(pred, gt, t)[2] for t in (0.1, 0.25, 0.5, 0.75)]
+            f1s = [f1_at(pred, gt, t) for t in (0.1, 0.25, 0.5, 0.75)]
             assert all(a >= b - 1e-12 for a, b in zip(f1s, f1s[1:]))
 
     def test_greedy_matches_exhaustive_on_all_small_instances(self):
@@ -313,7 +320,7 @@ class TestFpTaxonomy:
         k = spec.group_of(seq)
         local = gtla.relabel_for_group(seq, spec, k)
         lo, hi = priors.bounds_matrix(local, prior.groups[k])
-        lo = lo[spec.global_to_local(k)[rare]]
+        lo = lo[spec.classes_of_group[k].index(rare)]
         assert lo == 3
         pred = [Segment(rare, 0, 2)]
         assert (pred[0].start + pred[0].end) // 2 < lo
@@ -379,8 +386,7 @@ class TestComputeReport:
         for seq in test.sequences:
             k = spec.group_of(seq)
             gt_groups.append(k)
-            preds.append(gtla.Prediction(seq.id, k, seq.labels.copy(),
-                                         np.ones(seq.num_frames), np.zeros(spec.n)))
+            preds.append(gtla.Prediction(seq.id, k, seq.labels.copy(), np.zeros(spec.n)))
         report = gtla.compute_report(preds, test, spec, prior, split, gt_groups)
         assert report.global_metrics["mof"] == 100.0
         assert report.global_metrics["edit"] == 100.0
@@ -416,8 +422,7 @@ class TestComputeReport:
 
     def test_matches_once_per_sequence_and_threshold(self, rng, monkeypatch):
         train, test, spec, prior, split = self.build_eval(rng)
-        preds = [gtla.Prediction(s.id, spec.group_of(s), np.roll(s.labels, 3),
-                                 np.ones(s.num_frames), np.zeros(spec.n))
+        preds = [gtla.Prediction(s.id, spec.group_of(s), np.roll(s.labels, 3), np.zeros(spec.n))
                  for s in test.sequences]
         gt_groups = [spec.group_of(s) for s in test.sequences]
         calls = []
@@ -435,8 +440,7 @@ class TestComputeReport:
     def test_exclude_classes_drops_from_averages(self, rng):
         train, test, spec, prior, split = self.build_eval(rng)
         idle = test.vocab.id_of("idle")
-        preds = [gtla.Prediction(s.id, spec.group_of(s), s.labels.copy(),
-                                 np.ones(s.num_frames), np.zeros(spec.n))
+        preds = [gtla.Prediction(s.id, spec.group_of(s), s.labels.copy(), np.zeros(spec.n))
                  for s in test.sequences]
         gt_groups = [spec.group_of(s) for s in test.sequences]
         report = gtla.compute_report(preds, test, spec, prior, split, gt_groups,

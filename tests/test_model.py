@@ -135,7 +135,7 @@ def test_backward_matches_finite_differences_on_total_loss(rng):
 def test_adam_zero_gradient_is_noop():
     cfg = small_config()
     params = gtla.init_params(cfg)
-    before = params.copy()
+    before = gtla.ModelParams(params.cfg, params.values)
     gtla.adam_step(params, model.FlatTensors(cfg), gtla.AdamState(cfg))
     for name in params.values:
         assert np.array_equal(params.values[name], before.values[name])
@@ -144,7 +144,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_magnitude_is_lr_signed(rng):
     cfg = small_config()
     params = gtla.init_params(cfg)
-    before = params.copy()
+    before = gtla.ModelParams(params.cfg, params.values)
     grads = model.FlatTensors(cfg, {n: rng.standard_normal(v.shape)
                                     for n, v in params.values.items()})
     gtla.adam_step(params, grads, gtla.AdamState(cfg), lr=5e-4)

@@ -42,8 +42,6 @@ from .metrics import (
     fp_taxonomy,
     group_id_accuracy,
     head_tail_split,
-    mof_accuracy,
-    per_class_recall,
 )
 from .model import AdamState, BackboneConfig, ModelParams, adam_step, backward, forward, init_params
 from .priors import GroupPrior, TemporalPrior, class_prior, extract_priors, extract_temporal_sets

@@ -300,28 +300,20 @@ def _report_value(payload: dict, path: tuple[str, ...], kind, ctx: str):
 
 
 def cmd_report(args) -> int:
-    reports = []  # (name, column values, fp_taxonomy counts) per report
+    rows = []  # one per report, named by its path as given; the first is the baseline
     for path in args.reports:
         ctx = f"metrics report {path}"
         payload = _load_json(path, ctx)
-        reports.append((Path(path).stem,
-                        {label: _report_value(payload, keys, float, ctx)
-                         for label, keys in _REPORT_COLUMNS},
-                        {key: _report_value(payload, ("fp_taxonomy", key), int, ctx)
-                         for key in ("fp1", "fp2", "fp3", "tp")}))
-
-    rows = []
-    base_name, base, _ = reports[0]
-    for name, columns, counts in reports:
-        row = {"name": name}
-        for label, value in columns.items():
-            row[label] = value
-            row[f"delta {label}"] = value - base[label]
-        for key, count in counts.items():
-            row[f"fp_taxonomy {key}"] = count
+        row = {"name": path}
+        base = rows[0] if rows else row
+        for label, keys in _REPORT_COLUMNS:
+            row[label] = _report_value(payload, keys, float, ctx)
+            row[f"delta {label}"] = row[label] - base[label]
+        for key in ("fp1", "fp2", "fp3", "tp"):
+            row[f"fp_taxonomy {key}"] = _report_value(payload, ("fp_taxonomy", key), int, ctx)
         rows.append(row)
 
-    width = max(len(name) for name, _, _ in reports)
+    width = max(len(row["name"]) for row in rows)
     header = "model".ljust(width) + "".join(f"{label:>16}" for label, _ in _REPORT_COLUMNS)
     lines = [header]
     for idx, row in enumerate(rows):
@@ -336,7 +328,7 @@ def cmd_report(args) -> int:
     if args.out:
         Path(args.out).with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
         write_json(Path(args.out).with_suffix(".json"),
-                   {"version": 1, "baseline": base_name, "rows": rows})
+                   {"version": 1, "baseline": rows[0]["name"], "rows": rows})
     return 0
 
 
@@ -407,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (GtlaError, OSError, ValueError, KeyError) as exc:
+    except (GtlaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

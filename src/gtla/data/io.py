@@ -127,9 +127,17 @@ class Corpus:
             yield self.sequences[idx], x
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise one FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_mapping(path: str | Path) -> ClassVocab:
     """Parse a mapping file of "<id> <name>" lines into a ClassVocab."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     entries: dict[int, str] = {}
     seen_names: set[str] = set()
     for lineno, raw in enumerate(lines, 1):
@@ -161,7 +169,7 @@ def write_mapping(path: str | Path, vocab: ClassVocab) -> None:
 def load_label_file(path: str | Path, vocab: ClassVocab,
                     activity: str = "", seq_id: str = "") -> FrameSeq:
     """Read one class name per line into a FrameSeq."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     while lines and not lines[-1].strip():
         lines.pop()
     labels = []

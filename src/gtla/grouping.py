@@ -237,10 +237,12 @@ def group_spec_to_dict(spec: GroupSpec, vocab: ClassVocab) -> dict:
 
 def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
     try:
-        for cls in payload["classes_of_group"]:
-            for name in cls:
+        for k, cls in enumerate(payload["classes_of_group"]):
+            for i, name in enumerate(cls):
                 if name not in vocab.index:
                     raise FormatError(f"group spec names unknown class {name!r}")
+                if name in cls[:i]:  # the head would carry a logit no frame trains
+                    raise FormatError(f"group spec lists class {name!r} twice in group {k}")
         classes = tuple(tuple(vocab.id_of(name) for name in cls)
                         for cls in payload["classes_of_group"])
         centroids = payload.get("centroids")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, write_label_file
 from .data.io import write_json
+from .errors import ConfigError
 from .grouping import GroupSpec
 from .losses import softmax
 from .model import ModelParams, forward
@@ -31,7 +32,7 @@ class Prediction:
 def predict_sequence(features, params: ModelParams, spec: GroupSpec,
                      seq_id: str = "") -> Prediction:
     """Group and labels of one sequence by the rule above; ties pick the lowest index."""
-    probs = [softmax(s) for s in forward(features, params, mode="eval").logits]
+    probs = [softmax(s) for s in forward(features, params).logits]
     others = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
     k = int(np.argmin(others))
     local = probs[k][:spec.num_real_classes(k)].argmax(axis=0)
@@ -42,11 +43,11 @@ def predict_sequence(features, params: ModelParams, spec: GroupSpec,
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:
     """Eval-mode predictions for every sequence, in corpus order."""
     if len(dataset) and dataset.feature_dim != params.cfg.in_dim:
-        raise ValueError(f"corpus features have dim {dataset.feature_dim}, "
-                         f"model expects {params.cfg.in_dim}")
+        raise ConfigError(f"corpus features have dim {dataset.feature_dim}, "
+                          f"model expects {params.cfg.in_dim}")
     if params.cfg.head_sizes != spec.head_sizes():
-        raise ValueError(f"group spec has head sizes {spec.head_sizes()}, "
-                         f"model has {params.cfg.head_sizes}")
+        raise ConfigError(f"group spec has head sizes {spec.head_sizes()}, "
+                          f"model has {params.cfg.head_sizes}")
     return [predict_sequence(x, params, spec, seq_id=seq.id) for seq, x in dataset.widened()]
 
 

@@ -31,31 +31,6 @@ IOU_THRESHOLDS = (0.10, 0.25, 0.50)
 TAXONOMY_IOU = 0.25
 
 
-def mof_accuracy(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray]) -> float:
-    """Percentage of correctly labeled frames, pooled over the corpus."""
-    correct = total = 0
-    for p, g in zip(preds, gts, strict=True):
-        p, g = np.asarray(p), np.asarray(g)
-        if p.size != g.size:
-            raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-        correct += int((p == g).sum())
-        total += g.size
-    return 100.0 * correct / total
-
-
-def per_class_recall(preds: Sequence[np.ndarray], gts: Sequence[np.ndarray],
-                     num_classes: int) -> dict[int, float]:
-    """Frame recall per class, for classes with at least one GT frame."""
-    correct = np.zeros(num_classes)
-    total = np.zeros(num_classes)
-    for p, g in zip(preds, gts, strict=True):
-        p, g = np.asarray(p), np.asarray(g)
-        total += np.bincount(g, minlength=num_classes)
-        correct += np.bincount(g[p == g], minlength=num_classes)
-    return {c: 100.0 * correct[c] / total[c]
-            for c in range(num_classes) if total[c] > 0}
-
-
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Edit distance between two label lists (two-row DP)."""
     if len(a) < len(b):
@@ -98,9 +73,8 @@ def match_segments(pred_segments: Sequence[Segment], gt_segments: Sequence[Segme
     """
     candidates: list[list[int]] = []
     for pred in pred_segments:
-        options = [(segment_iou(pred, gt), -j, j)
-                   for j, gt in enumerate(gt_segments)
-                   if gt.label == pred.label and segment_iou(pred, gt) >= threshold]
+        options = [(iou, -j, j) for j, gt in enumerate(gt_segments)
+                   if gt.label == pred.label and (iou := segment_iou(pred, gt)) >= threshold]
         options.sort(reverse=True)
         candidates.append([j for _, _, j in options])
 
@@ -297,8 +271,18 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
                               frozenset(split.tail - excluded),
                               split.threshold, split.imbalance_ratio)
 
+    # GT frames and correctly labelled frames per class: MoF pools them,
+    # per-class recall divides them class by class.
+    frames = np.zeros(len(vocab), dtype=np.int64)
+    hits = np.zeros(len(vocab), dtype=np.int64)
+    for p, g in zip(pred_labels, gt_labels, strict=True):
+        if p.size != g.size:
+            raise ValueError(f"length mismatch: {p.size} vs {g.size}")
+        frames += np.bincount(g, minlength=len(vocab))
+        hits += np.bincount(g[p == g], minlength=len(vocab))
+
     global_metrics: dict[str, float] = {
-        "mof": mof_accuracy(pred_labels, gt_labels),
+        "mof": 100.0 * int(hits.sum()) / int(frames.sum()),
         "edit": float(np.mean([edit_score(p, g) for p, g in zip(pred_segs, gt_segs)])),
     }
     matches = {t: [match_segments(p, g, t) for p, g in zip(pred_segs, gt_segs)]
@@ -309,8 +293,8 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         tp = sum(m is not None for seq_matches in matches[t] for m in seq_matches)
         global_metrics[f"f1@{t:.2f}"] = f1_from_counts(tp, num_pred - tp, num_gt - tp) * 100.0
 
-    recalls = per_class_recall(pred_labels, gt_labels, len(vocab))
-    recalls = {c: v for c, v in recalls.items() if c not in excluded}
+    recalls = {c: (100.0 * hits[c]) / frames[c]
+               for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
     head_r, tail_r, hmean_r = _split_average(recalls, split)
     balanced: dict[str, dict[str, float]] = {
         "recall": {"head": head_r, "tail": tail_r, "hmean": hmean_r},

@@ -124,22 +124,17 @@ class Forward:
 
 
 def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
-            mode: str = "eval", dropout_rng: np.random.Generator | None = None) -> Forward:
+            dropout_rng: np.random.Generator | None = None) -> Forward:
     """Run the backbone and all group heads over one sequence.
 
-    ``mode`` is "train" or "eval"; dropout fires only in train mode and
-    draws its masks from ``dropout_rng``.
+    Dropout fires when ``dropout_rng`` is given (training) and draws its
+    masks from it; without one the pass is deterministic (evaluation).
     """
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
     x = x.astype(np.float64, copy=False)
     cfg = params.cfg
     if x.ndim != 2 or x.shape[0] != cfg.in_dim:
         raise ValueError(f"features must be {cfg.in_dim} x T, got {x.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    train = mode == "train"
-    if train and cfg.dropout > 0.0 and dropout_rng is None:
-        raise ValueError("train mode with dropout needs a dropout_rng")
 
     p, num_frames = params.values, x.shape[1]
     # Each layer input is written once, into the middle of its padded buffer;
@@ -151,7 +146,7 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     inner = [buf[:, d:-d] for d, buf in zip(pads, layer_inputs)] + [None]
     z = np.add(p["in.w"] @ x, p["in.b"][:, None], out=inner[0])
     layer_relu, layer_masks = [], [None] * cfg.num_layers
-    if train and cfg.dropout > 0.0:
+    if dropout_rng is not None and cfg.dropout > 0.0:
         # One draw for all layers yields the same values as one draw per layer.
         keep = 1.0 - cfg.dropout
         drawn = dropout_rng.random((cfg.num_layers, cfg.hidden, num_frames))

@@ -93,7 +93,7 @@ def train_epoch(state: TrainState, train: Corpus, spec: GroupSpec,
     for seq, x in train.widened(order):
         k = spec.group_of(seq)
         local = relabel_for_group(seq, spec, k)
-        out = forward(x, state.params, mode="train", dropout_rng=state.dropout_rng)
+        out = forward(x, state.params, dropout_rng=state.dropout_rng)
         loss, d_logits, _ = total_loss(out.logits, local, k, spec, prior, cfg)
         grads = backward(out.tape, d_logits, out=state.grads)
         adam_step(state.params, grads, state.adam, lr=cfg.lr)

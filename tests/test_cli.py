@@ -396,6 +396,45 @@ class TestTrainEvalReport:
         assert len(log["loss"]) == 3  # two restored + one new epoch
 
 
+def test_damaged_inputs_exit_cleanly(tmp_path, capsys):
+    """Truncated or bit-flipped corpus, spec and priors files make cluster, priors,
+    eval and a one-epoch train exit 0, or exit 1 with one error line; no exception
+    escapes ``cli.main``."""
+    out = run_pipeline(tmp_path, "w", epochs=1)
+    train = out / "corpus" / "train"
+    seq_id = json.loads((train / "manifest.json").read_text())["sequences"][0]["id"]
+    targets = [train / "manifest.json", train / "mapping.txt",
+               train / "groundTruth" / f"{seq_id}.txt", train / "features" / f"{seq_id}.npy",
+               out / "spec.json", out / "priors.json"]
+    manifest = str(train / "manifest.json")
+    commands = [
+        ["cluster", "--data", manifest, "--groups", "activity", "--out", str(tmp_path / "s.json")],
+        ["priors", "--data", manifest, "--spec", str(out / "spec.json"),
+         "--out", str(tmp_path / "p.json")],
+        eval_argv(out, out / "run" / "checkpoint.ckpt", tmp_path / "eval"),
+        ["train", "--config", str(out / "run.json"), "--epochs", "1", "--out", str(tmp_path / "run")],
+    ]
+    rng = np.random.default_rng(17)
+    for target in targets:
+        intact = target.read_bytes()
+        cases = {f"cut at {n}": intact[:n] for n in rng.integers(0, len(intact), size=2)}
+        for bit in rng.integers(0, 8 * len(intact), size=10):
+            flipped = bytearray(intact)
+            flipped[bit // 8] ^= 1 << bit % 8
+            cases[f"bit {bit} flipped"] = bytes(flipped)
+        for case, blob in cases.items():
+            target.write_bytes(blob)
+            for argv in commands:
+                try:
+                    code = run(argv)
+                except Exception as exc:  # report which input let it escape
+                    pytest.fail(f"{target.name}, {case}: {argv[0]} raised {exc!r}")
+                errors = [line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("error:")]
+                assert (code, len(errors)) in ((0, 0), (1, 1)), (target.name, case, argv[0])
+        target.write_bytes(intact)
+
+
 class TestCheckpointFiles:
     def test_train_runs_write_byte_identical_checkpoints(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -597,7 +636,10 @@ class TestReportCommand:
         other = self.write_report(
             tmp_path, "other", lambda p: p["global"].update(mof=82.5))
         assert run(["report", str(base), str(other), "--out", str(tmp_path / "cmp")]) == 0
-        rows = json.loads((tmp_path / "cmp.json").read_text())["rows"]
+        comparison = json.loads((tmp_path / "cmp.json").read_text())
+        rows = comparison["rows"]
+        assert [row["name"] for row in rows] == [str(base), str(other)]
+        assert comparison["baseline"] == str(base)
         assert rows[1]["global mof"] == 82.5 and rows[1]["delta global mof"] == 2.5
         assert rows[1]["fp_taxonomy tp"] == 4
         assert "82.5 (+2.5)" in capsys.readouterr().out

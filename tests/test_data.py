@@ -44,6 +44,13 @@ class TestMapping:
         with pytest.raises(FormatError, match="dense"):
             data.load_mapping(path)
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "mapping.txt"
+        path.write_bytes(b"0 a\n1 b\n\xff")
+        with pytest.raises(FormatError) as exc:
+            data.load_mapping(path)
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+
     def test_roundtrip(self, tmp_path):
         vocab = data.ClassVocab(("x", "y", "z"))
         data.write_mapping(tmp_path / "m.txt", vocab)
@@ -79,6 +86,13 @@ class TestLabelFile:
         path.write_text("\n")
         with pytest.raises(FormatError, match="empty"):
             data.load_label_file(path, vocab)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"a\na\n\xff")
+        with pytest.raises(FormatError) as exc:
+            data.load_label_file(path, data.ClassVocab(("a",)))
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
 
 
 def npy_bytes(values, **kwargs):

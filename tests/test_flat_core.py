@@ -45,12 +45,12 @@ def ref_dilated_conv_backward(x, w, d_out, d):
     return d_w, d_b, d_padded[:, d:d + num_frames]
 
 
-def ref_forward(features, params, mode="eval", dropout_rng=None):
-    """Per-tensor forward; the tape is a dict of unpadded layer inputs."""
+def ref_forward(features, params, dropout_rng=None):
+    """Per-tensor forward, dropout drawn layer by layer from ``dropout_rng`` if
+    given; the tape is a dict of unpadded layer inputs."""
     x = features.values if isinstance(features, gtla.FeatureMatrix) else np.asarray(features)
     x = x.astype(np.float64, copy=False)
     cfg, p = params.cfg, params.values
-    train = mode == "train"
     z = p["in.w"] @ x + p["in.b"][:, None]
     tape = {"params": params, "x": x, "inputs": [], "pre": [], "masks": []}
     for layer in range(cfg.num_layers):
@@ -60,7 +60,7 @@ def ref_forward(features, params, mode="eval", dropout_rng=None):
         tape["pre"].append(pre)
         branch = p[f"layer{layer}.proj.w"] @ np.maximum(pre, 0.0) \
             + p[f"layer{layer}.proj.b"][:, None]
-        if train and cfg.dropout > 0.0:
+        if dropout_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             mask = (dropout_rng.random(branch.shape) < keep) / keep
             branch = branch * mask
@@ -140,9 +140,8 @@ def test_forward_and_backward_match_padding_reference(dropout, frames):
     params = gtla.init_params(backbone(dropout))
     data = np.random.default_rng(frames)
     x = data.standard_normal((5, frames))
-    mode = "train" if dropout else "eval"
-    out = gtla.forward(x, params, mode=mode, dropout_rng=np.random.default_rng(1))
-    ref = ref_forward(x, params, mode=mode, dropout_rng=np.random.default_rng(1))
+    out = gtla.forward(x, params, dropout_rng=np.random.default_rng(1))
+    ref = ref_forward(x, params, dropout_rng=np.random.default_rng(1))
     assert np.array_equal(out.tape.z, ref.tape["z"])
     for got, want in zip(out.logits, ref.logits):
         assert np.array_equal(got, want)
@@ -164,7 +163,8 @@ def test_a_training_step_changes_none_of_its_inputs(mode, method):
         k = spec.group_of(seq)
         local = gtla.relabel_for_group(seq, spec, k)
         features, weights = feats.values.tobytes(), params.values.flat.tobytes()
-        out = gtla.forward(feats, params, mode=mode, dropout_rng=np.random.default_rng(0))
+        out = gtla.forward(feats, params,
+                           dropout_rng=np.random.default_rng(0) if mode == "train" else None)
         logits = [s.tobytes() for s in out.logits]
         _, d_logits, _ = gtla.total_loss(out.logits, local, k, spec, prior, cfg)
         upstream = [g.tobytes() for g in d_logits]
@@ -196,7 +196,7 @@ def test_backward_into_one_buffer_matches_fresh_buffers(dropout, rng):
     grads = model.FlatTensors(params.cfg)
     grads.flat[...] = np.nan
     for frames in (9, 2):
-        out = gtla.forward(rng.standard_normal((5, frames)), params, mode="train",
+        out = gtla.forward(rng.standard_normal((5, frames)), params,
                            dropout_rng=np.random.default_rng(frames))
         d_logits = [rng.standard_normal(l.shape) for l in out.logits]
         assert gtla.backward(out.tape, d_logits, out=grads) is grads

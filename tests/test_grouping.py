@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import gtla
 from gtla import grouping
-from gtla.errors import ConfigError
+from gtla.errors import ConfigError, FormatError
 
 
 def oracle_cluster_distance(members_a, members_b, dist, linkage):
@@ -466,3 +467,15 @@ def test_group_spec_unknown_class_name_rejected(tmp_path):
     payload["classes_of_group"][0][0] = "nonsense"
     with pytest.raises(FormatError, match="unknown class"):
         grouping.group_spec_from_dict(payload, corpus.vocab)
+
+
+def test_group_spec_class_listed_twice_rejected(tmp_path):
+    corpus = make_corpus([("x", [0, 1]), ("y", [2, 2])], "abc")
+    spec = gtla.build_group_spec(corpus, gtla.ByActivity())
+    payload = grouping.group_spec_to_dict(spec, corpus.vocab)
+    payload["classes_of_group"][0].append(payload["classes_of_group"][0][0])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as exc:
+        grouping.load_group_spec(path, corpus.vocab)
+    assert str(exc.value) == f"{path}: group spec lists class 'a' twice in group 0"

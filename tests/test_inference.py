@@ -3,6 +3,7 @@ import pytest
 
 import gtla
 from gtla import inference
+from gtla.errors import ConfigError
 
 from conftest import logit_params, tiny_problem
 
@@ -176,14 +177,14 @@ class TestPredictCorpus:
         corpus, spec, prior, params = tiny_problem(rng)
         bad = gtla.BackboneConfig(in_dim=corpus.feature_dim + 1, hidden=4,
                                   num_layers=1, head_sizes=spec.head_sizes())
-        with pytest.raises(ValueError, match="dim"):
+        with pytest.raises(ConfigError, match="dim"):
             gtla.predict_corpus(gtla.init_params(bad), corpus, spec)
 
     def test_head_sizes_mismatch_rejected(self, rng):
         corpus, spec, prior, params = tiny_problem(rng)
         bad = gtla.BackboneConfig(in_dim=corpus.feature_dim, hidden=4, num_layers=1,
                                   head_sizes=spec.head_sizes() + (2,))
-        with pytest.raises(ValueError, match="head sizes"):
+        with pytest.raises(ConfigError, match="head sizes"):
             gtla.predict_corpus(gtla.init_params(bad), corpus, spec)
 
 

@@ -74,52 +74,70 @@ def taxonomy(pred, seq, spec, prior):
     return gtla.fp_taxonomy(pred, matches, seq, spec, prior, spec.group_of(seq))
 
 
+def report_of(preds, gts, num_classes=None):
+    """``compute_report`` of one-activity sequences labelled ``gts`` and predicted
+    as ``preds``, over classes named "0", "1", ... (default: up to the largest label)."""
+    num_classes = num_classes or 1 + max(int(np.max(a)) for a in (*preds, *gts))
+    vocab = gtla.ClassVocab(tuple(str(c) for c in range(num_classes)))
+    corpus = gtla.Corpus(vocab, [gtla.FrameSeq(g, activity="a", id=f"s{i}")
+                                 for i, g in enumerate(gts)],
+                         [gtla.FeatureMatrix(np.zeros((1, len(g)))) for g in gts])
+    spec = gtla.build_group_spec(corpus, gtla.ByActivity())
+    split = metrics.HeadTailSplit(frozenset(range(num_classes)), frozenset(), 1.0, 1.0)
+    predictions = [gtla.Prediction(f"s{i}", 0, np.asarray(p), np.zeros(1))
+                   for i, p in enumerate(preds)]
+    return gtla.compute_report(predictions, corpus, spec, gtla.extract_priors(corpus, spec),
+                               split, [0] * len(gts))
+
+
+def mof(preds, gts):
+    return report_of(preds, gts).global_metrics["mof"]
+
+
+def recall(preds, gts, num_classes):
+    """Per-class recall of ``report_of``, keyed by class id."""
+    per_class = report_of(preds, gts, num_classes).per_class["recall"]
+    return {int(name): value for name, value in per_class.items()}
+
+
 class TestMof:
     def test_perfect(self):
-        assert gtla.mof_accuracy([np.array([1, 2])], [np.array([1, 2])]) == 100.0
+        assert mof([np.array([1, 2])], [np.array([1, 2])]) == 100.0
 
     def test_all_wrong(self):
-        assert gtla.mof_accuracy([np.array([1, 1])], [np.array([2, 2])]) == 0.0
+        assert mof([np.array([1, 1])], [np.array([2, 2])]) == 0.0
 
     def test_three_of_four(self):
-        assert gtla.mof_accuracy([np.array([1, 1, 1, 0])],
-                                 [np.array([1, 1, 1, 1])]) == 75.0
+        assert mof([np.array([1, 1, 1, 0])], [np.array([1, 1, 1, 1])]) == 75.0
 
     def test_invariant_to_sequence_order(self, rng):
         preds = [rng.integers(0, 3, size=n) for n in (5, 9, 4)]
         gts = [rng.integers(0, 3, size=p.size) for p in preds]
-        forward_ = gtla.mof_accuracy(preds, gts)
-        backward_ = gtla.mof_accuracy(preds[::-1], gts[::-1])
-        assert forward_ == backward_
+        assert mof(preds, gts) == mof(preds[::-1], gts[::-1])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            gtla.mof_accuracy([np.array([1])], [np.array([1, 2])])
+            mof([np.array([1])], [np.array([1, 2])])
 
 
 class TestPerClassRecall:
     def test_perfect(self):
-        recalls = gtla.per_class_recall([np.array([0, 1, 1])],
-                                        [np.array([0, 1, 1])], 2)
-        assert recalls == {0: 100.0, 1: 100.0}
+        assert recall([np.array([0, 1, 1])], [np.array([0, 1, 1])], 2) == {0: 100.0, 1: 100.0}
 
     def test_absent_prediction_is_zero(self):
-        recalls = gtla.per_class_recall([np.array([0, 0])],
-                                        [np.array([0, 1])], 2)
-        assert recalls[1] == 0.0
+        assert recall([np.array([0, 0])], [np.array([0, 1])], 2)[1] == 0.0
 
     def test_zero_gt_classes_excluded(self):
-        recalls = gtla.per_class_recall([np.array([0])], [np.array([0])], 3)
-        assert set(recalls) == {0}
+        assert set(recall([np.array([0])], [np.array([0])], 3)) == {0}
 
     def test_recall_unaffected_by_other_class_frequency(self, rng):
         # Duplicating every frame of one class leaves other recalls unchanged.
         gt = np.array([0, 0, 1, 2, 2])
         pred = np.array([0, 1, 1, 2, 0])
-        base = gtla.per_class_recall([pred], [gt], 3)
+        base = recall([pred], [gt], 3)
         gt2 = np.concatenate([gt, [0] * 10])
         pred2 = np.concatenate([pred, [0] * 10])
-        dup = gtla.per_class_recall([pred2], [gt2], 3)
+        dup = recall([pred2], [gt2], 3)
         assert dup[1] == base[1] and dup[2] == base[2]
 
     def test_paper_harmonic_mean_values(self):

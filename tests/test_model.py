@@ -59,9 +59,9 @@ def test_eval_mode_deterministic_and_matches_zero_dropout_train(rng):
     cfg = small_config(dropout=0.0)
     params = gtla.init_params(cfg)
     x = rng.standard_normal((4, 11))
-    a = gtla.forward(x, params, mode="eval")
-    b = gtla.forward(x, params, mode="eval")
-    c = gtla.forward(x, params, mode="train")
+    a = gtla.forward(x, params)
+    b = gtla.forward(x, params)
+    c = gtla.forward(x, params, dropout_rng=np.random.default_rng(0))
     for la_, lb, lc in zip(a.logits, b.logits, c.logits):
         assert np.array_equal(la_, lb)
         assert np.array_equal(la_, lc)
@@ -71,10 +71,8 @@ def test_dropout_requires_rng_and_changes_output(rng):
     cfg = small_config(dropout=0.5)
     params = gtla.init_params(cfg)
     x = rng.standard_normal((4, 11))
-    with pytest.raises(ValueError):
-        gtla.forward(x, params, mode="train")
-    a = gtla.forward(x, params, mode="train", dropout_rng=np.random.default_rng(0))
-    b = gtla.forward(x, params, mode="eval")
+    a = gtla.forward(x, params, dropout_rng=np.random.default_rng(0))
+    b = gtla.forward(x, params)
     assert not np.allclose(a.logits[0], b.logits[0])
 
 

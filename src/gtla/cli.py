@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import suppress
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -25,16 +26,6 @@ def _check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-
-
-def _load_json(path: str | Path, ctx: str) -> dict:
-    try:
-        payload = read_json(path)
-    except FileNotFoundError:
-        raise ConfigError(f"{ctx}: file not found: {path}")
-    if payload.get("version") != 1:
-        raise ConfigError(f"{ctx}: unsupported or missing config version")
-    return payload
 
 
 # Config-file spellings of the dataclass fields that are not spelled as-is.
@@ -60,9 +51,10 @@ def _typed(value, kind, ctx: str, key: str):
                 for name, item in value.items()}
     if origin is tuple and isinstance(value, list):
         return tuple(_typed(item, get_args(kind)[0], ctx, key) for item in value)
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(kind, ())):
-        raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
-    return kind(value)
+    if not isinstance(value, bool) and isinstance(value, _JSON_TYPES.get(kind, ())):
+        with suppress(OverflowError):  # an integer beyond the float range
+            return kind(value)
+    raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
 
 
 def _get(section: dict, key: str, kind, ctx: str, default=None):
@@ -113,7 +105,7 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"unknown preset {args.preset!r}")
         cfg = data.longtail_benchmark_config(seed=args.seed or 0)
     elif args.config:
-        payload = _load_json(args.config, "synth config")
+        payload = read_json(args.config)
         cfg = _from_json(data.SynthConfig, {k: v for k, v in payload.items() if k != "version"},
                          "synth config")
         if args.seed is not None:
@@ -150,7 +142,7 @@ def cmd_priors(args) -> int:
 
 
 def cmd_train(args) -> int:
-    payload = _load_json(args.config, "run config")
+    payload = read_json(args.config)
     _check_keys(payload, {"version", "seed", "data", "groups", "backbone",
                           "train", "out"}, "run config")
     root = Path(args.config).parent
@@ -161,11 +153,9 @@ def cmd_train(args) -> int:
     corpus = data.load_corpus(
         root / _typed(data_section["train_manifest"], str, "data section", "train_manifest"))
 
-    if args.seed is None and "seed" not in payload:
-        raise ConfigError("run config: a seed is required (field or --seed)")
-    seed = args.seed
+    seed = args.seed if args.seed is not None else _get(payload, "seed", int, "run config")
     if seed is None:
-        seed = _typed(payload["seed"], int, "run config", "seed")
+        raise ConfigError("run config: a seed is required (field or --seed)")
     train_cfg = _from_json(losses.TrainConfig, _get(payload, "train", dict, "run config", {}),
                            "train section", seed=seed)
     for f in fields(train_cfg):  # one flag at a time, so an error names its flag
@@ -208,15 +198,16 @@ def cmd_train(args) -> int:
             raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
                               f"from the run config's {backbone}")
         recorded = extra.get("train_config")
-        if isinstance(recorded, dict):
-            changed = [f"{key} {recorded.get(key)!r} -> {value!r}"
-                       for key, value in train_cfg.to_dict().items()
-                       if key != "epochs" and recorded.get(key) != value]
-            if changed:
-                raise ConfigError(f"--resume: the run's train config differs from the "
-                                  f"checkpoint's in {', '.join(changed)}")
+        if not isinstance(recorded, dict):
+            raise FormatError(f"{args.resume}: the checkpoint records no train_config object")
+        changed = [f"{key} {recorded.get(key)!r} -> {value!r}"
+                   for key, value in train_cfg.to_dict().items()
+                   if key != "epochs" and recorded.get(key) != value]
+        if changed:
+            raise ConfigError(f"--resume: the run's train config differs from the "
+                              f"checkpoint's in {', '.join(changed)}")
         try:
-            state = training.TrainState.restore(params, adam, extra.get("train_state", {}))
+            state = training.TrainState.restore(params, adam, extra.get("train_state"))
         except FormatError as exc:
             raise FormatError(f"{args.resume}: {exc}") from exc
     else:
@@ -303,7 +294,7 @@ def cmd_report(args) -> int:
     rows = []  # one per report, named by its path as given; the first is the baseline
     for path in args.reports:
         ctx = f"metrics report {path}"
-        payload = _load_json(path, ctx)
+        payload = read_json(path)
         row = {"name": path}
         base = rows[0] if rows else row
         for label, keys in _REPORT_COLUMNS:

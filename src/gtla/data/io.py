@@ -8,6 +8,7 @@ file per sequence (one class name per line), one (dim, frames) float32
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -261,19 +262,29 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Write ``payload`` as UTF-8 JSON: indent 2, sorted keys, trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    """UTF-8 JSON with indent 2, sorted keys and a trailing newline; NaN or inf raise ValueError."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 
+def _finite(literal: str) -> float:
+    """A JSON number as a float; ``NaN``, ``Infinity`` and ``1e400`` raise ValueError."""
+    if not math.isfinite(value := float(literal)):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
 def read_json(path: str | Path) -> dict:
-    """Parse a file holding one JSON object; anything else raises FormatError."""
+    """A ``"version": 1`` JSON object of finite numbers; else one FormatError naming the file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+        payload = json.loads(Path(path).read_text(encoding="utf-8"),
+                             parse_constant=_finite, parse_float=_finite)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
+    if type(payload.get("version")) is not int or payload["version"] != 1:
+        raise FormatError(f"{path}: unsupported or missing version {payload.get('version')!r}")
     return payload
 
 

@@ -72,11 +72,13 @@ class SynthConfig:
                     names.append(opt.name)
         return tuple(names)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.activities:
             raise ConfigError("no activities configured")
-        if self.feature_dim < 1:
-            raise ConfigError("feature_dim must be >= 1")
+        for name, low in (("feature_dim", 1), ("train_per_activity", 1),
+                          ("test_per_activity", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name!r} must be >= {low}, got {getattr(self, name)!r}")
         for activity, grammar in self.activities.items():
             if not grammar.mandatory:
                 raise ConfigError(f"activity {activity!r} has no mandatory actions")
@@ -96,8 +98,11 @@ class SynthConfig:
         for name in self.class_names():
             if name not in self.durations:
                 raise ConfigError(f"no duration model for class {name!r}")
-            if self.durations[name].median < 1:
-                raise ConfigError(f"class {name!r}: median duration must be >= 1 frame")
+            duration = self.durations[name]
+            if not 1 <= duration.median < np.inf:  # NaN fails too
+                raise ConfigError(f"class {name!r}: 'median' must be finite and >= 1 frame")
+            if not np.isfinite(duration.sigma):
+                raise ConfigError(f"class {name!r}: 'sigma' must be finite")
         known = set(self.class_names())
         for family in self.similar_classes:
             for name in family:
@@ -163,7 +168,6 @@ def synth_generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
     disjoint seed streams so the splits contain different sequences drawn
     from the same class-conditional feature distribution.
     """
-    cfg.validate()
     vocab = ClassVocab(cfg.class_names())
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     mean_rng = np.random.default_rng(seeds[0])

@@ -221,8 +221,8 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpe
     )
 
 
-def group_spec_to_dict(spec: GroupSpec, vocab: ClassVocab) -> dict:
-    return {
+def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
+    write_json(path, {
         "version": 1,
         "mode": spec.mode,
         "n": spec.n,
@@ -232,17 +232,19 @@ def group_spec_to_dict(spec: GroupSpec, vocab: ClassVocab) -> dict:
         "group_of_activity": spec.group_of_activity,
         "group_of_sequence": spec.group_of_sequence,
         "centroids": [list(c) for c in spec.centroids] if spec.centroids else None,
-    }
+    })
 
 
-def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
+def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
+    """The spec :func:`save_group_spec` wrote; bad content is one FormatError naming the file."""
+    payload = read_json(path)
     try:
         for k, cls in enumerate(payload["classes_of_group"]):
             for i, name in enumerate(cls):
                 if name not in vocab.index:
-                    raise FormatError(f"group spec names unknown class {name!r}")
+                    raise FormatError(f"{path}: group spec names unknown class {name!r}")
                 if name in cls[:i]:  # the head would carry a logit no frame trains
-                    raise FormatError(f"group spec lists class {name!r} twice in group {k}")
+                    raise FormatError(f"{path}: group spec lists class {name!r} twice in group {k}")
         classes = tuple(tuple(vocab.id_of(name) for name in cls)
                         for cls in payload["classes_of_group"])
         centroids = payload.get("centroids")
@@ -253,30 +255,21 @@ def group_spec_from_dict(payload: dict, vocab: ClassVocab) -> GroupSpec:
             group_weights=tuple(float(w) for w in payload["group_weights"]),
             group_of_activity={a: int(k) for a, k in payload["group_of_activity"].items()},
             group_of_sequence={s: int(k) for s, k in payload["group_of_sequence"].items()},
-            centroids=tuple(tuple(c) for c in centroids) if centroids else None,
+            centroids=tuple(tuple(map(float, c)) for c in centroids) if centroids else None,
         )
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed group spec: {type(exc).__name__} {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed group spec: {type(exc).__name__} {exc}") from exc
     if not len(classes) == len(spec.group_weights) == spec.n:
-        raise FormatError(f"group spec has n = {spec.n} but {len(classes)} class lists "
-                          f"and {len(spec.group_weights)} weights")
+        raise FormatError(f"{path}: group spec has n = {spec.n} but {len(classes)} class "
+                          f"lists and {len(spec.group_weights)} weights")
+    for k, weight in enumerate(spec.group_weights):
+        if not 0.0 < weight < np.inf:  # the loss scales with it; NaN fails too
+            raise FormatError(f"{path}: group {k}: weight {weight!r} is not finite and > 0")
     if spec.centroids and (len(spec.centroids) != spec.n
                            or any(len(c) != len(vocab) for c in spec.centroids)):
-        raise FormatError(f"group spec needs {spec.n} centroids of {len(vocab)} values")
+        raise FormatError(f"{path}: group spec needs {spec.n} centroids of {len(vocab)} values")
     ids = {*spec.group_of_activity.values(), *spec.group_of_sequence.values()}
     outside = sorted(k for k in ids if not 0 <= k < spec.n)
     if outside:
-        raise FormatError(f"group spec assigns group id(s) {outside} outside 0..{spec.n - 1}")
+        raise FormatError(f"{path}: group spec assigns id(s) {outside} not in 0..{spec.n - 1}")
     return spec
-
-
-def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
-    write_json(path, group_spec_to_dict(spec, vocab))
-
-
-def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
-    payload = read_json(path)
-    try:
-        return group_spec_from_dict(payload, vocab)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

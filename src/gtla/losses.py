@@ -33,15 +33,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        floats = (self.tau, self.eta, self.smooth_weight, self.smooth_clip, self.lr)
-        if not np.all(np.isfinite(floats)):
-            raise ConfigError("tau, eta, smooth_weight, smooth_clip and lr must be finite")
-        if self.tau < 0 or self.eta < 0 or self.smooth_weight < 0:
-            raise ConfigError("tau, eta and smooth_weight must be >= 0")
-        if self.smooth_clip <= 0 or self.lr <= 0:
-            raise ConfigError("smooth_clip and lr must be > 0")
+        for name in ("tau", "eta", "smooth_weight", "smooth_clip", "lr"):
+            value, positive = getattr(self, name), name in ("smooth_clip", "lr")
+            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                                  f"got {value!r}")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -128,8 +128,8 @@ class HeadTailSplit:
 
 def head_tail_split(train: Corpus, threshold: float) -> HeadTailSplit:
     """Split classes by training frame count against the threshold."""
-    if not threshold > 0:  # NaN fails too
-        raise ValueError("threshold must be > 0")
+    if not 0 < threshold < np.inf:  # NaN fails too
+        raise ValueError("threshold must be finite and > 0")
     counts = np.zeros(len(train.vocab), dtype=np.int64)
     for seq in train.sequences:
         counts += np.bincount(seq.labels, minlength=len(train.vocab))

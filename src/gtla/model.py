@@ -32,19 +32,13 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.hidden < 1 or self.num_layers < 1:
-            raise ConfigError("in_dim, hidden and num_layers must be >= 1")
+        for name in ("in_dim", "hidden", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not self.head_sizes or any(h < 2 for h in self.head_sizes):
             raise ConfigError("every group head needs at least 2 classes")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "BackboneConfig":
-        return BackboneConfig(**{**payload, "head_sizes": tuple(payload["head_sizes"])})
 
 
 @lru_cache(maxsize=16)
@@ -252,7 +246,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
     """An uncompressed ``.npz`` of a JSON ``header`` (0-d bytes) and the flat ``params``,
     ``m`` and ``v`` buffers as float32; each member has a CRC-32, the bytes no timestamp."""
     adam = adam if adam is not None else AdamState(params.cfg)
-    header = {"version": 2, "config": params.cfg.to_dict(), "step": step,
+    header = {"version": 2, "config": asdict(params.cfg), "step": step,
               "adam_t": adam.t, "extra": extra or {}}
     with open(path, "wb") as fh:  # a handle, so numpy does not append ".npz"
         np.savez(fh, header=np.array(json.dumps(header, sort_keys=True).encode()),
@@ -266,7 +260,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
         try:
             npz = np.lib.npyio.NpzFile(fh)
             header = json.loads(npz["header"].item())
-            cfg = BackboneConfig.from_dict(header["config"])
+            if header["version"] != 2:
+                raise ValueError(f"header version {header['version']!r}, not 2")
+            cfg = BackboneConfig(**{**header["config"],
+                                    "head_sizes": tuple(header["config"]["head_sizes"])})
             params, adam = ModelParams(cfg, None), AdamState(cfg, t=int(header["adam_t"]))
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
                 if (stored := npz[name]).shape != flat.shape:  # it would broadcast

@@ -146,8 +146,8 @@ def temporal_factor_matrix(labels: np.ndarray, prior: GroupPrior) -> np.ndarray:
     return np.where(inside, 1.0, ratio)
 
 
-def temporal_prior_to_dict(prior: TemporalPrior, spec: GroupSpec,
-                           vocab: ClassVocab) -> dict:
+def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
+                        vocab: ClassVocab) -> None:
     groups = []
     for k, gp in enumerate(prior.groups):
         names = [vocab.name_of(g) for g in spec.classes_of_group[k]]
@@ -158,36 +158,28 @@ def temporal_prior_to_dict(prior: TemporalPrior, spec: GroupSpec,
             "must_follow": {names[c]: sorted(names[x] for x in gp.must_follow[c])
                             for c in range(gp.num_classes)},
         })
-    return {"version": 1, "groups": groups}
+    write_json(path, {"version": 1, "groups": groups})
 
 
-def temporal_prior_from_dict(payload: dict, spec: GroupSpec,
-                             vocab: ClassVocab) -> TemporalPrior:
+def load_temporal_prior(path: str | Path, spec: GroupSpec,
+                        vocab: ClassVocab) -> TemporalPrior:
+    """Priors as :func:`save_temporal_prior` wrote them; bad content is one FormatError."""
+    payload = read_json(path)
     try:
         groups = []
         for entry, classes in zip(payload["groups"], spec.classes_of_group, strict=True):
             names = [vocab.name_of(g) for g in classes]
             local = {name: c for c, name in enumerate(names)}
             prior = np.array([entry["prior"][name] for name in names], dtype=np.float64)
+            for name, value in zip(names, prior):
+                if not 0.0 <= value <= 1.0:  # NaN fails too
+                    raise FormatError(f"{path}: group {len(groups)}: prior {value} of class "
+                                      f"{name!r} is outside [0, 1]")
             precede = tuple(frozenset(local[x] for x in entry["must_precede"][name])
                             for name in names)
             follow = tuple(frozenset(local[x] for x in entry["must_follow"][name])
                            for name in names)
             groups.append(GroupPrior(prior, precede, follow))
         return TemporalPrior(tuple(groups))
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed temporal prior: {type(exc).__name__} {exc}") from exc
-
-
-def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
-                        vocab: ClassVocab) -> None:
-    write_json(path, temporal_prior_to_dict(prior, spec, vocab))
-
-
-def load_temporal_prior(path: str | Path, spec: GroupSpec,
-                        vocab: ClassVocab) -> TemporalPrior:
-    payload = read_json(path)
-    try:
-        return temporal_prior_from_dict(payload, spec, vocab)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed temporal prior: {type(exc).__name__} {exc}") from exc

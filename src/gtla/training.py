@@ -61,18 +61,19 @@ class TrainState:
 
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":
-        """The state ``rng_payload`` recorded; a missing key keeps its default."""
-        if not isinstance(payload, dict):
-            raise FormatError(f"train_state must be an object, got {type(payload).__name__}")
-        epoch, history = payload.get("epoch", 0), payload.get("history", [])
+        """The state ``rng_payload`` recorded; each of its four keys is required."""
+        if not isinstance(payload, dict) or not {"dropout", "order", "epoch",
+                                                 "history"} <= payload.keys():
+            raise FormatError("train_state needs 'dropout', 'order', 'epoch' and 'history'")
+        epoch, history = payload["epoch"], payload["history"]
         if type(epoch) is not int or not isinstance(history, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in history):
-            raise FormatError("train_state needs an int 'epoch' and a list of numbers as 'history'")
+                type(x) is int or type(x) is float and np.isfinite(x) for x in history):
+            raise FormatError("train_state needs an int 'epoch' and finite numbers as 'history'")
         state = TrainState(params, adam, np.random.default_rng(0), np.random.default_rng(0),
                            epoch=epoch, history=list(history))
         try:
             for key, rng in (("dropout", state.dropout_rng), ("order", state.order_rng)):
-                rng.bit_generator.state = payload.get(key, rng.bit_generator.state)
+                rng.bit_generator.state = payload[key]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"train_state: {key!r} is not a bit generator state "
                               f"({type(exc).__name__}: {exc})") from exc

@@ -135,10 +135,12 @@ class TestSynthCommand:
         (("similar_classes",), "idle"),
         (("similar_classes",), [["idle", 3]]),
         (("activities", "first", "optionals", 0, "gpas"), [0]),
+        (("mean_scale",), 10 ** 400), (("seed",), -1), (("train_per_activity",), 0),
     ], ids=["prob-str", "gaps-str", "gaps-float", "name-int", "optionals-object",
             "mandatory-str", "activity-list", "activities-list", "median-str",
             "sigma-str", "duration-int", "durations-int", "similar-str", "similar-int",
-            "optional-key-typo"])
+            "optional-key-typo", "mean_scale-401-digits", "seed-negative",
+            "train_per_activity-zero"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, path, value):
         payload = json.loads(synth_config(tmp_path).read_text())
         payload["similar_classes"] = [["work", "other_work"]]
@@ -152,6 +154,21 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert repr(path[-1]) in err
+
+    @pytest.mark.parametrize("key, literal", [
+        ('"sigma": 0.2', "NaN"), ('"median": 8', "Infinity"), ('"mean_scale": 1.0', "NaN"),
+        ('"noise_sigma": 0.8', "Infinity"), ('"mean_scale": 1.0', "1e400"),
+    ], ids=["sigma-nan", "median-infinity", "mean_scale-nan", "noise_sigma-infinity",
+            "mean_scale-1e400"])
+    def test_non_finite_number_is_one_error_line_naming_the_file(self, tmp_path, capsys, key,
+                                                                 literal):
+        text = synth_config(tmp_path).read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(key, f"{key.split(':')[0]}: {literal}", 1))
+        assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: invalid JSON (non-finite number "
+                                           f"{literal})\n")
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("path", [
         ("activities",), ("durations",), ("activities", "first", "mandatory"),
@@ -435,6 +452,62 @@ def test_damaged_inputs_exit_cleanly(tmp_path, capsys):
         target.write_bytes(intact)
 
 
+class TestVersionedJsonFiles:
+    """Every JSON file a command reads needs "version": 1 and finite numbers only;
+    otherwise the command writes nothing and prints one error line naming the file."""
+
+    SET_NUMBER = {  # writes a value into a number-valued field of each file
+        "manifest": lambda payload, value: payload.update(feature_dim=value),
+        "spec": lambda payload, value: payload["group_weights"].__setitem__(0, value),
+        "priors": lambda payload, value: payload["groups"][0]["prior"].update(idle=value),
+        "run-config": lambda payload, value: payload["train"].update(tau=value),
+        "synth-config": lambda payload, value: payload.update(mean_scale=value),
+        "report": lambda payload, value: payload["global"].update(mof=value),
+    }
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        return run_pipeline(tmp_path_factory.mktemp("json"), "w", epochs=1)
+
+    MESSAGES = {"no-version": "unsupported or missing version None",
+                "version-2": "unsupported or missing version 2",
+                "nan": "invalid JSON (non-finite number NaN)",
+                "1e400": "invalid JSON (non-finite number 1e400)"}
+
+    @pytest.mark.parametrize("edit", list(MESSAGES))
+    @pytest.mark.parametrize("name", list(SET_NUMBER))
+    def test_is_one_error_line_naming_the_file(self, pipeline, tmp_path, capsys, name, edit):
+        manifest = pipeline / "corpus" / "train" / "manifest.json"
+        source = {"manifest": manifest, "spec": pipeline / "spec.json",
+                  "priors": pipeline / "priors.json", "run-config": pipeline / "run.json",
+                  "synth-config": pipeline.parent / "synth.json",
+                  "report": pipeline / "eval" / "report.json"}[name]
+        payload = json.loads(source.read_text())
+        if edit == "no-version":
+            del payload["version"]
+        elif edit == "version-2":
+            payload["version"] = 2
+        else:
+            self.SET_NUMBER[name](payload, float("nan") if edit == "nan" else 123.25)
+        bad, dest = source.with_name("edited.json"), tmp_path / "out"
+        bad.write_text(json.dumps(payload).replace("123.25", "1e400"))
+        argv = {
+            "manifest": ["cluster", "--data", str(bad), "--out", str(dest / "spec.json")],
+            "spec": ["priors", "--data", str(manifest), "--spec", str(bad),
+                     "--out", str(dest / "priors.json")],
+            "priors": eval_argv(pipeline, pipeline / "run" / "checkpoint.ckpt", dest),
+            "run-config": ["train", "--config", str(bad), "--out", str(dest)],
+            "synth-config": ["synth", "--config", str(bad), "--out", str(dest)],
+            "report": ["report", str(bad), "--out", str(dest / "cmp")],
+        }[name]
+        if name == "priors":
+            argv[argv.index("--priors") + 1] = str(bad)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {self.MESSAGES[edit]}\n"
+        assert not dest.exists()
+
+
 class TestCheckpointFiles:
     def test_train_runs_write_byte_identical_checkpoints(self, tmp_path):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -471,20 +544,37 @@ class TestCheckpointFiles:
         assert crc_errors > len(flips) // 2
 
     @pytest.mark.parametrize("edit", [
-        lambda state: state.update(dropout=5),
-        lambda state: state.update(history=3),
-        lambda state: state.update(history=[1.5, "x"]),
-        lambda state: state.update(epoch="1"),
-        lambda state: state.update(order={}),
-        lambda state: state["order"].pop("state"),
-        lambda state: state["dropout"]["state"].update(state=-1),
+        lambda extra: extra["train_state"].update(dropout=5),
+        lambda extra: extra["train_state"].update(history=3),
+        lambda extra: extra["train_state"].update(history=[1.5, "x"]),
+        lambda extra: extra["train_state"].update(epoch="1"),
+        lambda extra: extra["train_state"].update(order={}),
+        lambda extra: extra["train_state"]["order"].pop("state"),
+        lambda extra: extra["train_state"]["dropout"]["state"].update(state=-1),
+        lambda extra: extra.pop("train_state"),
+        lambda extra: extra["train_state"].pop("epoch"),
+        lambda extra: extra["train_state"]["history"].append(float("nan")),
     ], ids=["dropout-int", "history-int", "history-str-item", "epoch-str", "order-empty",
-            "order-no-state", "dropout-negative"])
+            "order-no-state", "dropout-negative", "no-train-state", "no-epoch", "history-nan"])
     def test_malformed_train_state_is_one_error_line(self, tmp_path, capsys, edit):
         out = run_pipeline(tmp_path, "w", epochs=1)
         ckpt = out / "run" / "checkpoint.ckpt"
-        edit_checkpoint_header(ckpt, lambda header: edit(header["extra"]["train_state"]))
+        edit_checkpoint_header(ckpt, lambda header: edit(header["extra"]))
         self.assert_resume_fails(out, ckpt, capsys)
+
+    def test_checkpoint_saved_without_train_config_is_refused(self, tmp_path, capsys):
+        """A checkpoint saved through the API without ``extra`` records neither the
+        train config nor the train state, so it cannot be resumed."""
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        params, adam, extra = model.load_checkpoint(out / "run" / "checkpoint.ckpt")
+        ckpt = out / "api.ckpt"
+        model.save_checkpoint(ckpt, params, step=extra["step"], adam=adam)
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: the checkpoint records no "
+                                           f"train_config object\n")
+        assert not (out / "r2").exists()
 
     def test_train_state_list_is_one_error_line(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -547,12 +637,12 @@ class TestRunConfigSchema:
         ("groups", "mode", 5), ("groups", "linkage", 5), ("groups", "spec", 5),
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
-        ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", float("nan")),
+        ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", 10 ** 400),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
-            "mode-flag-spelling", "lr-negative", "tau-nan"])
+            "mode-flag-spelling", "lr-negative", "tau-401-digits"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":
@@ -565,6 +655,15 @@ class TestRunConfigSchema:
                "data": "data section", None: "run config"}
         assert err.startswith(f"error: {ctx[section]}") and key in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [("hidden", 0), ("layers", 0), ("dropout", 1.5)])
+    def test_backbone_error_names_only_the_failing_field(self, tmp_path, capsys, key, value):
+        field = {"layers": "num_layers"}.get(key, key)
+        code, _ = self.train_with(tmp_path, lambda payload: payload["backbone"].update({key: value}))
+        assert code == 1
+        bound = "in [0, 1)" if key == "dropout" else ">= 1"
+        assert capsys.readouterr().err == (f"error: backbone section: {field} must be {bound}, "
+                                           f"got {value!r}\n")
 
     @pytest.mark.parametrize("groups, key", [
         ({"mode": "cluster"}, "n"),
@@ -599,6 +698,7 @@ class TestBadFlagValues:
         ("train", "--groups", "cluster:999"), ("cluster", "--groups", "cluster:0"),
         ("cluster", "--groups", "cluster:999"), ("eval", "--head-threshold", "nan"),
         ("eval", "--head-threshold", "0"), ("eval", "--head-threshold", "-5"),
+        ("eval", "--head-threshold", "inf"),
     ])
     def test_error_line_names_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
         dest = tmp_path / "out"
@@ -613,6 +713,18 @@ class TestBadFlagValues:
         assert err.count("error:") == 1 and err.count("\n") == 1
         assert err.startswith(f"error: {flag} ")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "inf", "--tau inf: tau must be finite and >= 0, got inf"),
+        ("--lambda", "nan", "--lambda nan: smooth_weight must be finite and >= 0, got nan"),
+        ("--eta", "-1", "--eta -1.0: eta must be finite and >= 0, got -1.0"),
+        ("--epochs", "0", "--epochs 0: epochs must be >= 1, got 0"),
+    ], ids=["tau", "lambda", "eta", "epochs"])
+    def test_train_error_names_only_the_failing_field(self, pipeline, tmp_path, capsys, flag,
+                                                      value, message):
+        argv = ["train", "--config", str(pipeline / "run.json"), "--out", str(tmp_path / "o")]
+        assert run(argv + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestReportCommand:

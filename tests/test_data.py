@@ -315,22 +315,32 @@ class TestSynth:
 
     def test_contradictory_grammar_rejected(self):
         cfg = tiny_cfg()
-        bad = data.SynthConfig(
-            activities={"make": data.ActivityGrammar(
-                ("start", "act"),
-                (data.OptionalAction("act", 0.5, (1,)),))},
-            durations=cfg.durations, feature_dim=3, seed=0)
         with pytest.raises(ConfigError, match="contradictory"):
-            data.synth_generate(bad)
+            data.SynthConfig(
+                activities={"make": data.ActivityGrammar(
+                    ("start", "act"),
+                    (data.OptionalAction("act", 0.5, (1,)),))},
+                durations=cfg.durations, feature_dim=3, seed=0)
 
     def test_bad_probability_rejected(self):
         cfg = tiny_cfg()
-        bad = data.SynthConfig(
-            activities={"make": data.ActivityGrammar(
-                ("start",), (data.OptionalAction("extra", 1.5, (1,)),))},
-            durations=cfg.durations, feature_dim=3, seed=0)
         with pytest.raises(ConfigError, match="probability"):
-            data.synth_generate(bad)
+            data.SynthConfig(
+                activities={"make": data.ActivityGrammar(
+                    ("start",), (data.OptionalAction("extra", 1.5, (1,)),))},
+                durations=cfg.durations, feature_dim=3, seed=0)
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"seed": -1}, "seed"), ({"train_per_activity": 0}, "train_per_activity"),
+        ({"test_per_activity": 0}, "test_per_activity"),
+        ({"durations": {"start": data.DurationModel(float("nan"))}}, "median"),
+        ({"durations": {"start": data.DurationModel(np.inf)}}, "median"),
+        ({"durations": {"start": data.DurationModel(2, np.inf)}}, "sigma"),
+    ], ids=["seed", "train-count", "test-count", "median-nan", "median-inf", "sigma-inf"])
+    def test_bad_value_rejected_at_construction(self, changes, key):
+        durations = {**tiny_cfg().durations, **changes.get("durations", {})}
+        with pytest.raises(ConfigError, match=repr(key)):
+            tiny_cfg(**{**changes, "durations": durations})
 
     def test_smoothing_correlates_neighbours(self):
         from gtla.data.synth import _smooth
@@ -432,8 +442,35 @@ def test_load_corpus_frame_mismatch_rejected(tmp_path):
         data.load_corpus(manifest)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1}', "unsupported or missing version None"),
+    ('{"version": 2}', "unsupported or missing version 2"),
+    ('{"version": true}', "unsupported or missing version True"),
+    ('{"version": 1.0}', "unsupported or missing version 1.0"),
+    ('{"version": 1, "a": [1.5, NaN]}', "invalid JSON (non-finite number NaN)"),
+    ('{"version": 1, "a": {"b": -Infinity}}', "invalid JSON (non-finite number -Infinity)"),
+    ('{"version": 1, "a": 1e400}', "invalid JSON (non-finite number 1e400)"),
+    ("[" * 100_000, "invalid JSON ("),  # RecursionError, worded per Python version
+], ids=["no-version", "version-2", "version-bool", "version-float", "nan", "neg-infinity",
+        "overflow", "deep-nesting"])
+def test_read_json_rejects_with_one_error_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        data.io.read_json(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_read_json_would(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        data.io.write_json(tmp_path / "out.json", {"version": 1, "a": [value]})
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "out.json"
-    data.io.write_json(path, {"b": 1, "a": [2.5, "é"]})
-    assert path.read_bytes() == b'{\n  "a": [\n    2.5,\n    "\\u00e9"\n  ],\n  "b": 1\n}\n'
-    assert data.io.read_json(path) == {"a": [2.5, "é"], "b": 1}
+    data.io.write_json(path, {"version": 1, "b": 1, "a": [2.5, "é"]})
+    assert path.read_bytes() == (b'{\n  "a": [\n    2.5,\n    "\\u00e9"\n  ],\n  "b": 1,\n'
+                                 b'  "version": 1\n}\n')
+    assert data.io.read_json(path) == {"a": [2.5, "é"], "b": 1, "version": 1}

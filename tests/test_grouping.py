@@ -458,24 +458,50 @@ class TestSerialization:
         assert loaded == spec
 
 
-def test_group_spec_unknown_class_name_rejected(tmp_path):
-    from gtla.errors import FormatError
-
+def saved_spec_payload(tmp_path):
+    """A two-group spec's path, its parsed file and the vocabulary it was saved with."""
     corpus = make_corpus([("x", [0, 1]), ("y", [2, 2])], "abc")
     spec = gtla.build_group_spec(corpus, gtla.ByActivity())
-    payload = grouping.group_spec_to_dict(spec, corpus.vocab)
+    path = tmp_path / "spec.json"
+    grouping.save_group_spec(path, spec, corpus.vocab)
+    return path, json.loads(path.read_text()), corpus.vocab
+
+
+def test_group_spec_unknown_class_name_rejected(tmp_path):
+    path, payload, vocab = saved_spec_payload(tmp_path)
     payload["classes_of_group"][0][0] = "nonsense"
+    path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="unknown class"):
-        grouping.group_spec_from_dict(payload, corpus.vocab)
+        grouping.load_group_spec(path, vocab)
 
 
 def test_group_spec_class_listed_twice_rejected(tmp_path):
-    corpus = make_corpus([("x", [0, 1]), ("y", [2, 2])], "abc")
-    spec = gtla.build_group_spec(corpus, gtla.ByActivity())
-    payload = grouping.group_spec_to_dict(spec, corpus.vocab)
+    path, payload, vocab = saved_spec_payload(tmp_path)
     payload["classes_of_group"][0].append(payload["classes_of_group"][0][0])
-    path = tmp_path / "spec.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError) as exc:
-        grouping.load_group_spec(path, corpus.vocab)
+        grouping.load_group_spec(path, vocab)
     assert str(exc.value) == f"{path}: group spec lists class 'a' twice in group 0"
+
+
+def test_group_spec_non_numeric_centroid_rejected(tmp_path):
+    corpus = make_corpus([("x", [0, 1]), ("x", [0, 0]), ("y", [2, 2])], "abc")
+    spec = gtla.build_group_spec(corpus, gtla.ByClustering(n=2))
+    path = tmp_path / "spec.json"
+    grouping.save_group_spec(path, spec, corpus.vocab)
+    payload = json.loads(path.read_text())
+    payload["centroids"][1][0] = "x"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=f"^{path}: malformed group spec: ValueError"):
+        grouping.load_group_spec(path, corpus.vocab)
+
+
+@pytest.mark.parametrize("weights, k", [([-1.0, 1e300], 0), ([1.0, 0.0], 1), ([1.0, "nan"], 1)],
+                         ids=["negative", "zero", "nan-string"])
+def test_group_spec_weight_must_be_finite_and_positive(tmp_path, weights, k):
+    path, payload, vocab = saved_spec_payload(tmp_path)
+    payload["group_weights"] = weights
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError) as exc:
+        grouping.load_group_spec(path, vocab)
+    assert str(exc.value) == f"{path}: group {k}: weight {float(weights[k])!r} is not finite and > 0"

@@ -8,7 +8,8 @@ import gtla
 from gtla import data, grouping, losses, model, priors
 from gtla.errors import FormatError, TrainingError
 
-from conftest import edit_checkpoint, finite_difference, max_relative_error, tiny_problem
+from conftest import (edit_checkpoint, edit_checkpoint_header, finite_difference,
+                      max_relative_error, tiny_problem)
 
 
 def small_config(groups=(4, 3), hidden=8, layers=2, dim=4, dropout=0.0, seed=3):
@@ -257,6 +258,15 @@ def test_checkpoint_member_of_wrong_shape_raises_format_error(tmp_path, rng, mem
     wrong = shape(params.values.flat.size)
     edit_checkpoint(path, lambda members: members.update({member: np.ones(wrong, np.float32)}))
     with pytest.raises(FormatError, match=f"{path}.*member '{member}' has shape"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None])
+def test_checkpoint_header_of_other_version_raises_format_error(tmp_path, rng, version):
+    path = tmp_path / "model.ckpt"
+    _stepped_checkpoint(path, rng)
+    edit_checkpoint_header(path, lambda header: header.update(version=version))
+    with pytest.raises(FormatError, match=f"{path}.*header version {version!r}, not 2"):
         model.load_checkpoint(path)
 
 

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import gtla
 from gtla import priors
-from gtla.errors import ConfigError
+from gtla.errors import ConfigError, FormatError
 
 
 def oracle_temporal_sets(segment_label_seqs, c):
@@ -302,3 +304,18 @@ class TestExtractPriors:
             assert np.allclose(a.prior, b.prior)
             assert a.must_precede == b.must_precede
             assert a.must_follow == b.must_follow
+
+    @pytest.mark.parametrize("value", [-0.25, 1.5, "nan"])
+    def test_prior_outside_unit_interval_rejected(self, tmp_path, value):
+        train, _ = gtla.synth_generate(gtla.longtail_benchmark_config(
+            seed=2, train_per_activity=4, test_per_activity=1))
+        spec = gtla.build_group_spec(train, gtla.ByActivity())
+        path = tmp_path / "priors.json"
+        priors.save_temporal_prior(path, gtla.extract_priors(train, spec), spec, train.vocab)
+        payload = json.loads(path.read_text())
+        payload["groups"][1]["prior"]["idle"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError) as exc:
+            priors.load_temporal_prior(path, spec, train.vocab)
+        assert str(exc.value) == (f"{path}: group 1: prior {float(value)} of class 'idle' "
+                                  f"is outside [0, 1]")

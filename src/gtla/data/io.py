@@ -274,11 +274,15 @@ def _finite(literal: str) -> float:
     return value
 
 
+def parse_json(text: str | bytes):
+    """``json.loads`` of finite numbers; ``NaN``, ``Infinity`` or ``1e400`` raise ValueError."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
+
+
 def read_json(path: str | Path) -> dict:
     """A ``"version": 1`` JSON object of finite numbers; else one FormatError naming the file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"),
-                             parse_constant=_finite, parse_float=_finite)
+        payload = parse_json(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):

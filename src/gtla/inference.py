@@ -8,6 +8,8 @@ post-processing are applied at inference time.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,14 +43,52 @@ def predict_sequence(features, params: ModelParams, spec: GroupSpec,
 
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:
-    """Eval-mode predictions for every sequence, in corpus order."""
+    """Eval-mode predictions for every sequence, in corpus order. One process per CPU in the
+    affinity mask predicts a contiguous shard of about equal frame count: the caller the first."""
     if len(dataset) and dataset.feature_dim != params.cfg.in_dim:
         raise ConfigError(f"corpus features have dim {dataset.feature_dim}, "
                           f"model expects {params.cfg.in_dim}")
     if params.cfg.head_sizes != spec.head_sizes():
         raise ConfigError(f"group spec has head sizes {spec.head_sizes()}, "
                           f"model has {params.cfg.head_sizes}")
-    return [predict_sequence(x, params, spec, seq_id=seq.id) for seq, x in dataset.widened()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ends = np.cumsum([0] + [seq.num_frames for seq in dataset.sequences])
+    cuts = np.searchsorted(ends, np.linspace(0, ends[-1], min(cpus, len(dataset)) + 1)).tolist()
+    first, *rest = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b] or [range(0)]
+    children = []
+    try:
+        for shard in rest:  # a forked child inherits params, dataset and spec, unpickled
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_predict, args=(params, dataset, spec, shard, sender))
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child holds the only writer left, so its exit ends the pipe
+        predictions = _predict(params, dataset, spec, first)
+        for child, receiver in children:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(f"eval process exited with code {child.exitcode}") from None
+            if isinstance(result, Exception):
+                raise result
+            predictions += result
+    finally:  # once one shard failed the others are moot; after success all have been sent
+        for child, _ in children:
+            child.terminate()
+            child.join()
+    return predictions
+
+
+def _predict(params, dataset, spec, shard: range, sender=None) -> list[Prediction] | None:
+    """``predict_sequence`` over ``shard``; a child sends that list, or its exception, instead."""
+    if sender is None:
+        return [predict_sequence(x, params, spec, seq.id) for seq, x in dataset.widened(shard)]
+    try:
+        sender.send(_predict(params, dataset, spec, shard))
+    except Exception as exc:  # the parent re-raises it
+        sender.send(exc)
 
 
 def write_predictions(predictions: list[Prediction], vocab: ClassVocab,

@@ -71,17 +71,30 @@ def match_segments(pred_segments: Sequence[Segment], gt_segments: Sequence[Segme
     tried first, so the TP count cannot depend on segment ordering and the
     result is deterministic.
     """
-    candidates: list[list[int]] = []
-    for pred in pred_segments:
-        options = [(iou, -j, j) for j, gt in enumerate(gt_segments)
-                   if gt.label == pred.label and (iou := segment_iou(pred, gt)) >= threshold]
-        options.sort(reverse=True)
-        candidates.append([j for _, _, j in options])
+    return _max_matching(_candidates(pred_segments, gt_segments), threshold)
 
+
+def _candidates(pred_segments: Sequence[Segment],
+                gt_segments: Sequence[Segment]) -> list[list[tuple[float, int, int]]]:
+    """Per prediction, ``(iou, -j, j)`` for every same-class GT segment j, in the order the
+    matching tries them: highest IoU first, ties to the lower index. Any threshold's
+    candidates are a prefix of this list, so one list serves every threshold."""
+    same_class: dict[int, list[int]] = {}
+    for j, gt in enumerate(gt_segments):
+        same_class.setdefault(gt.label, []).append(j)
+    return [sorted(((segment_iou(pred, gt_segments[j]), -j, j)
+                    for j in same_class.get(pred.label, ())), reverse=True)
+            for pred in pred_segments]
+
+
+def _max_matching(candidates: list[list[tuple[float, int, int]]],
+                  threshold: float) -> list[int | None]:
+    """:func:`match_segments` over the :func:`_candidates` with IoU >= ``threshold``."""
+    options = [[j for iou, _, j in row if iou >= threshold] for row in candidates]
     gt_owner: dict[int, int] = {}
 
     def assign(i: int, visited: set[int]) -> bool:
-        for j in candidates[i]:
+        for j in options[i]:
             if j in visited:
                 continue
             visited.add(j)
@@ -90,9 +103,9 @@ def match_segments(pred_segments: Sequence[Segment], gt_segments: Sequence[Segme
                 return True
         return False
 
-    for i in range(len(pred_segments)):
+    for i in range(len(options)):
         assign(i, set())
-    matches: list[int | None] = [None] * len(pred_segments)
+    matches: list[int | None] = [None] * len(options)
     for j, i in gt_owner.items():
         matches[i] = j
     return matches
@@ -285,8 +298,8 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         "mof": 100.0 * int(hits.sum()) / int(frames.sum()),
         "edit": float(np.mean([edit_score(p, g) for p, g in zip(pred_segs, gt_segs)])),
     }
-    matches = {t: [match_segments(p, g, t) for p, g in zip(pred_segs, gt_segs)]
-               for t in IOU_THRESHOLDS}
+    candidates = [_candidates(p, g) for p, g in zip(pred_segs, gt_segs)]
+    matches = {t: [_max_matching(c, t) for c in candidates] for t in IOU_THRESHOLDS}
     num_pred = sum(map(len, pred_segs))
     num_gt = sum(map(len, gt_segs))
     for t in IOU_THRESHOLDS:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
+from .data.io import parse_json
 from .errors import ConfigError, FormatError, TrainingError
 
 
@@ -248,10 +249,15 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
     adam = adam if adam is not None else AdamState(params.cfg)
     header = {"version": 2, "config": asdict(params.cfg), "step": step,
               "adam_t": adam.t, "extra": extra or {}}
+    text = json.dumps(header, sort_keys=True, allow_nan=False)  # a NaN raises ValueError here
+    with np.errstate(over="ignore"):  # an overflowing cast gives inf, refused below
+        flats = {name: flat.astype("<f4") for name, flat in
+                 (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat))}
+    for name, flat in flats.items():
+        if not np.isfinite(flat).all():
+            raise TrainingError(f"{path}: {name!r} has values that are not finite in float32")
     with open(path, "wb") as fh:  # a handle, so numpy does not append ".npz"
-        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True).encode()),
-                 params=params.values.flat.astype("<f4"),
-                 m=adam.m.flat.astype("<f4"), v=adam.v.flat.astype("<f4"))
+        np.savez(fh, header=np.array(text.encode()), **flats)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
@@ -259,7 +265,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
     with open(path, "rb") as fh:  # closing it releases the archive too
         try:
             npz = np.lib.npyio.NpzFile(fh)
-            header = json.loads(npz["header"].item())
+            header = parse_json(npz["header"].item())
             if header["version"] != 2:
                 raise ValueError(f"header version {header['version']!r}, not 2")
             cfg = BackboneConfig(**{**header["config"],
@@ -272,7 +278,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
             extra = {**header["extra"], "step": header["step"]}
         # flipped zip metadata can raise OSError, NotImplementedError or RuntimeError
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, KeyError,
-                TypeError, ConfigError) as exc:
+                TypeError, RecursionError, ConfigError) as exc:
             raise FormatError(f"{path}: not a checkpoint, or a damaged one "
                               f"({type(exc).__name__}: {exc})") from exc
     return params, adam, extra

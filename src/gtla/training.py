@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Corpus
-from .errors import FormatError
+from .errors import FormatError, TrainingError
 from .grouping import GroupSpec, relabel_for_group
 from .losses import TrainConfig, total_loss
 from .model import (
@@ -99,6 +99,10 @@ def train_epoch(state: TrainState, train: Corpus, spec: GroupSpec,
         grads = backward(out.tape, d_logits, out=state.grads)
         adam_step(state.params, grads, state.adam, lr=cfg.lr)
         total += loss
+    for name, flat in (("parameters", state.params.values.flat), ("Adam m", state.adam.m.flat),
+                       ("Adam v", state.adam.v.flat)):
+        if not np.isfinite(flat).all():  # adam_step checks only the gradient
+            raise TrainingError(f"epoch {state.epoch + 1}: {name} overflowed to non-finite values")
     state.epoch += 1
     mean = total / len(train.sequences)
     state.history.append(mean)

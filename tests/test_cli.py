@@ -553,14 +553,25 @@ class TestCheckpointFiles:
         lambda extra: extra["train_state"]["dropout"]["state"].update(state=-1),
         lambda extra: extra.pop("train_state"),
         lambda extra: extra["train_state"].pop("epoch"),
-        lambda extra: extra["train_state"]["history"].append(float("nan")),
     ], ids=["dropout-int", "history-int", "history-str-item", "epoch-str", "order-empty",
-            "order-no-state", "dropout-negative", "no-train-state", "no-epoch", "history-nan"])
+            "order-no-state", "dropout-negative", "no-train-state", "no-epoch"])
     def test_malformed_train_state_is_one_error_line(self, tmp_path, capsys, edit):
         out = run_pipeline(tmp_path, "w", epochs=1)
         ckpt = out / "run" / "checkpoint.ckpt"
         edit_checkpoint_header(ckpt, lambda header: edit(header["extra"]))
         self.assert_resume_fails(out, ckpt, capsys)
+
+    def test_nan_in_checkpoint_header_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: header["extra"]["train_state"]["history"]
+                               .append(float("nan")))
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: not a checkpoint, or a damaged one "
+                                           f"(ValueError: non-finite number NaN)\n")
+        assert not (out / "r2").exists()
 
     def test_checkpoint_saved_without_train_config_is_refused(self, tmp_path, capsys):
         """A checkpoint saved through the API without ``extra`` records neither the
@@ -575,6 +586,17 @@ class TestCheckpointFiles:
         assert capsys.readouterr().err == (f"error: {ckpt}: the checkpoint records no "
                                            f"train_config object\n")
         assert not (out / "r2").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_adam_moment_is_one_error_line_and_no_checkpoint(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        spec = json.loads((out / "spec.json").read_text())
+        spec["group_weights"][1] = 1e300  # finite and > 0, so the spec loads
+        (out / "spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "huge")]) == 1
+        assert capsys.readouterr().err == "error: epoch 1: Adam v overflowed to non-finite values\n"
+        assert not (out / "huge" / "checkpoint.ckpt").exists()
 
     def test_train_state_list_is_one_error_line(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -186,6 +190,152 @@ class TestPredictCorpus:
                                   head_sizes=spec.head_sizes() + (2,))
         with pytest.raises(ConfigError, match="head sizes"):
             gtla.predict_corpus(gtla.init_params(bad), corpus, spec)
+
+
+class TestShardedPredictCorpus:
+    """``predict_corpus`` runs one process per CPU in the affinity mask; the mask is
+    patched, so these tests do not depend on the host."""
+
+    LENGTHS = (40, 9, 75, 12, 30, 61, 5)
+
+    @pytest.fixture
+    def problem(self, rng):
+        vocab = gtla.ClassVocab(("a", "b", "c", "d"))
+        sequences = [gtla.FrameSeq(rng.integers(0, 2, n) + 2 * (i % 2), f"act{i % 2}", f"s{i}")
+                     for i, n in enumerate(self.LENGTHS)]
+        features = [gtla.FeatureMatrix(rng.standard_normal((5, n))) for n in self.LENGTHS]
+        corpus = gtla.Corpus(vocab, sequences, features)
+        spec = gtla.build_group_spec(corpus, gtla.ByActivity())
+        params = gtla.init_params(gtla.BackboneConfig(in_dim=5, hidden=6, num_layers=2,
+                                                      head_sizes=spec.head_sizes()), rng)
+        return corpus, spec, params
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def patch_predict_sequence(monkeypatch, before=lambda seq_id: None,
+                               after=lambda prediction: None):
+        """Wrap ``predict_sequence`` with ``before(seq_id)`` and ``after(prediction)``."""
+        original = inference.predict_sequence
+
+        def patched(features, params, spec, seq_id=""):
+            before(seq_id)
+            prediction = original(features, params, spec, seq_id)
+            after(prediction)
+            return prediction
+
+        monkeypatch.setattr(inference, "predict_sequence", patched)
+
+    def pids(self, monkeypatch, problem):
+        """(seq id, pid of the process that predicted it), in the order returned."""
+        corpus, spec, params = problem
+
+        def tag(prediction):
+            prediction.seq_id = f"{prediction.seq_id}@{os.getpid()}"
+
+        self.patch_predict_sequence(monkeypatch, after=tag)
+        return [(seq_id, int(pid)) for seq_id, pid in
+                (p.seq_id.split("@") for p in gtla.predict_corpus(params, corpus, spec))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+    def test_bit_identical_to_the_per_sequence_loop(self, monkeypatch, problem, n):
+        corpus, spec, params = problem
+        expected = [inference.predict_sequence(x, params, spec, seq_id=seq.id)
+                    for seq, x in corpus.widened()]
+        self.cpus(monkeypatch, n)
+        got = gtla.predict_corpus(params, corpus, spec)
+        assert [(p.seq_id, p.group) for p in got] == [(p.seq_id, p.group) for p in expected]
+        for a, b in zip(got, expected):
+            for field in ("labels", "others_prob"):
+                assert getattr(a, field).dtype == getattr(b, field).dtype
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_contiguous_shards_of_about_equal_frames_the_first_in_the_caller(
+            self, monkeypatch, problem, n):
+        corpus, _, _ = problem
+        self.cpus(monkeypatch, n)
+        seen = self.pids(monkeypatch, problem)
+        assert [seq_id for seq_id, _ in seen] == [s.id for s in corpus.sequences]
+        shards = [pid for i, (_, pid) in enumerate(seen) if i == 0 or pid != seen[i - 1][1]]
+        assert len(shards) == len(set(shards))  # contiguous
+        assert shards[0] == os.getpid() and os.getpid() not in shards[1:]
+        frames = dict.fromkeys(shards, 0)
+        for (_, pid), length in zip(seen, self.LENGTHS):
+            frames[pid] += length
+        if n < len(corpus):  # each cut lies within one sequence of its equal-frames target
+            share = sum(self.LENGTHS) / n
+            assert len(shards) == n
+            assert all(abs(f - share) <= max(self.LENGTHS) for f in frames.values()), frames
+        else:  # cuts that fall on the same boundary give one shard, never an empty one
+            assert 1 < len(shards) <= len(corpus)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mask", ["one-cpu", "unknown"])
+    def test_one_cpu_or_an_unknown_mask_runs_in_the_caller(self, monkeypatch, problem, mask):
+        if mask == "one-cpu":
+            self.cpus(monkeypatch, 1)
+        else:  # as where fork does not exist either
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(multiprocessing, "get_context", None)
+        assert {pid for _, pid in self.pids(monkeypatch, problem)} == {os.getpid()}
+
+    def test_empty_corpus_gives_no_predictions(self, monkeypatch, problem):
+        corpus, spec, params = problem
+        self.cpus(monkeypatch, 4)
+        assert gtla.predict_corpus(params, gtla.Corpus(corpus.vocab, [], []), spec) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_an_error_in_a_child_is_raised_in_the_caller(self, monkeypatch, problem, n):
+        corpus, spec, params = problem
+        last = corpus.sequences[-1].id  # in the last shard, so in a child
+
+        def fail(seq_id):
+            if seq_id == last:
+                raise ConfigError(f"cannot predict {seq_id}")
+
+        self.patch_predict_sequence(monkeypatch, before=fail)
+        self.cpus(monkeypatch, n)
+        with pytest.raises(ConfigError, match=f"^cannot predict {last}$"):
+            gtla.predict_corpus(params, corpus, spec)
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_names_its_exit_code(self, monkeypatch, problem):
+        corpus, spec, params = problem
+        caller, last = os.getpid(), corpus.sequences[-1].id
+
+        def die(seq_id):
+            if seq_id == last and os.getpid() != caller:  # never exit the test runner
+                os._exit(7)
+
+        self.patch_predict_sequence(monkeypatch, before=die)
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
+            gtla.predict_corpus(params, corpus, spec)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_in_the_callers_shard_terminates_the_children(self, monkeypatch,
+                                                                  problem):
+        corpus, spec, params = problem
+        caller, first = os.getpid(), corpus.sequences[0].id
+
+        def stall_or_fail(seq_id):
+            if os.getpid() != caller:
+                time.sleep(60)  # a child still busy when the caller fails
+            elif seq_id == first:
+                raise ValueError("caller failed")
+
+        self.patch_predict_sequence(monkeypatch, before=stall_or_fail)
+        self.cpus(monkeypatch, 3)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="^caller failed$"):
+            gtla.predict_corpus(params, corpus, spec)
+        assert time.monotonic() - started < 30  # terminated, not waited for
+        assert multiprocessing.active_children() == []
 
 
 class TestWritePredictions:

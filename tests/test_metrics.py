@@ -443,17 +443,23 @@ class TestComputeReport:
         preds = [gtla.Prediction(s.id, spec.group_of(s), np.roll(s.labels, 3), np.zeros(spec.n))
                  for s in test.sequences]
         gt_groups = [spec.group_of(s) for s in test.sequences]
-        calls = []
-        match_segments = metrics.match_segments
+        calls, candidate_calls = [], []
+        candidates, max_matching = metrics._candidates, metrics._max_matching
 
         def counted(*args):
-            calls.append(args[2])
-            return match_segments(*args)
+            calls.append(args[1])
+            return max_matching(*args)
 
-        monkeypatch.setattr(metrics, "match_segments", counted)
+        def counted_candidates(*args):
+            candidate_calls.append(args)
+            return candidates(*args)
+
+        monkeypatch.setattr(metrics, "_max_matching", counted)
+        monkeypatch.setattr(metrics, "_candidates", counted_candidates)
         gtla.compute_report(preds, test, spec, prior, split, gt_groups)
         assert len(calls) == len(metrics.IOU_THRESHOLDS) * len(test.sequences)
         assert sorted(set(calls)) == sorted(metrics.IOU_THRESHOLDS)
+        assert len(candidate_calls) == len(test.sequences)  # IoUs once for all thresholds
 
     def test_exclude_classes_drops_from_averages(self, rng):
         train, test, spec, prior, split = self.build_eval(rng)

@@ -270,6 +270,34 @@ def test_checkpoint_header_of_other_version_raises_format_error(tmp_path, rng, v
         model.load_checkpoint(path)
 
 
+def test_checkpoint_header_with_nan_raises_format_error(tmp_path, rng):
+    path = tmp_path / "model.ckpt"
+    _stepped_checkpoint(path, rng)
+    edit_checkpoint_header(path, lambda header: header["extra"].update(x=float("nan")))
+    with pytest.raises(FormatError, match=f"{path}.*non-finite number NaN"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [{"x": float("nan")}, {"history": [1.0, float("inf")]}],
+                         ids=["nan", "inf-in-list"])
+def test_save_checkpoint_refuses_a_non_finite_header_value_before_writing(tmp_path, extra):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        model.save_checkpoint(path, gtla.init_params(small_config()), extra=extra)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("member, value", [("params", np.inf), ("m", 1e39), ("v", np.nan)])
+def test_save_checkpoint_refuses_a_buffer_not_finite_in_float32(tmp_path, member, value):
+    cfg = small_config()
+    params, adam = gtla.init_params(cfg), gtla.AdamState(cfg)
+    {"params": params.values, "m": adam.m, "v": adam.v}[member].flat[3] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(TrainingError, match=f"'{member}' has values that are not finite"):
+        model.save_checkpoint(path, params, adam=adam)
+    assert not path.exists()
+
+
 def test_flipped_zip_directory_bits_raise_format_error_or_load_intact(tmp_path):
     # The zip directory has no checksum. Each of its bits, flipped, must give
     # one FormatError (zipfile raises BadZipFile, KeyError, OSError,

@@ -5,6 +5,7 @@ import pytest
 
 import gtla
 from gtla import losses, model, training
+from gtla.errors import FormatError
 
 
 def small_setup(seed=0, epochs=2):
@@ -108,3 +109,12 @@ def test_seed_streams_are_independent():
     s2 = training.init_train_state(cfg, backbone)
     s2.dropout_rng.random(1000)  # advance dropout stream only
     assert np.array_equal(s1.order_rng.permutation(10), s2.order_rng.permutation(10))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_restore_rejects_a_non_finite_history(value):
+    _, _, _, _, backbone, cfg = small_setup()
+    state = training.init_train_state(cfg, backbone)
+    payload = {**state.rng_payload(), "history": [1.5, value]}
+    with pytest.raises(FormatError, match="finite numbers as .history."):
+        training.TrainState.restore(state.params, state.adam, payload)

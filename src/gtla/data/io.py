@@ -11,8 +11,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,18 +223,39 @@ def write_features(path: str | Path, feats: FeatureMatrix) -> None:
         np.save(fh, np.asfortranarray(feats.values, dtype="<f4"))  # frame-major payload
 
 
+class SegmentTable(NamedTuple):
+    """Maximal constant segments of label sequences, one row each: the sequence's
+    index, the label, and [start, end) in that sequence's frames."""
+
+    seq: np.ndarray
+    label: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+def segment_table(sequences: Sequence[np.ndarray]) -> SegmentTable:
+    """Run-length encode label sequences in one pass over their concatenation,
+    with a break forced at each sequence start."""
+    labels = np.concatenate(sequences)
+    first = np.array([0, *accumulate(map(len, sequences[:-1]))])
+    cut = np.concatenate(([True], labels[1:] != labels[:-1], [True]))
+    cut[first] = True
+    bounds = np.flatnonzero(cut)  # every segment start, then the end of the last
+    seq = np.searchsorted(first, bounds[:-1], side="right") - 1
+    offset = first[seq]
+    return SegmentTable(seq, labels[bounds[:-1]], bounds[:-1] - offset, bounds[1:] - offset)
+
+
 def segments_from_frames(seq: FrameSeq | np.ndarray) -> list[Segment]:
     """Run-length encode a label sequence into maximal constant segments."""
-    labels = seq.labels if isinstance(seq, FrameSeq) else np.asarray(seq)
-    boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [labels.size]))
-    return [Segment(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+    table = segment_table([seq.labels if isinstance(seq, FrameSeq) else np.asarray(seq)])
+    return list(map(Segment, *(column.tolist() for column in table[1:])))
 
 
 def segment_labels(seq: FrameSeq | np.ndarray) -> list[int]:
     """Segment-level label list of a sequence (one entry per segment)."""
-    return [s.label for s in segments_from_frames(seq)]
+    labels = seq.labels if isinstance(seq, FrameSeq) else np.asarray(seq)
+    return segment_table([labels]).label.tolist()
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:

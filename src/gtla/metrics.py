@@ -12,15 +12,14 @@ segments are further split into activity-irrelevant (FP1), order-violating
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Corpus, Segment, segments_from_frames
-from .data.io import write_json
+from .data import Corpus, FrameSeq, Segment, segments_from_frames
+from .data.io import SegmentTable, segment_table, write_json
 from .grouping import GroupSpec, relabel_for_group
 from .inference import Prediction
 from .priors import TemporalPrior, bounds_matrix
@@ -33,6 +32,10 @@ TAXONOMY_IOU = 0.25
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Edit distance between two label lists (two-row DP)."""
+    while len(a) and len(b) and a[0] == b[0]:  # a common prefix or suffix costs nothing
+        a, b = a[1:], b[1:]
+    while len(a) and len(b) and a[-1] == b[-1]:
+        a, b = a[:-1], b[:-1]
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))
@@ -172,52 +175,46 @@ def _split_average(values: dict[int, float], split: HeadTailSplit,
     return head, tail, harmonic_mean(head, tail)
 
 
-def balanced_f1(pred_segments_per_seq: Sequence[Sequence[Segment]],
-                gt_segments_per_seq: Sequence[Sequence[Segment]],
-                matches_per_seq: Sequence[Sequence[int | None]], split: HeadTailSplit,
-                ) -> tuple[float, float, float, dict[int, float]]:
+def balanced_f1(pred_labels: np.ndarray, gt_labels: np.ndarray, matched: np.ndarray,
+                split: HeadTailSplit) -> tuple[float, float, float, dict[int, float]]:
     """Per-class segment F1 averaged within the head and tail sets.
 
-    Class c's counts use only segments of class c, pooled over the corpus;
-    classes with neither GT nor predicted segments are excluded. The counts
-    come from each sequence's :func:`match_segments` result, which pairs only
-    same-class segments and so is a maximum matching within each class.
+    The labels are those of every predicted and GT segment of the corpus and
+    ``matched`` flags the predictions that :func:`match_segments` paired, a maximum
+    matching within each class. Classes with no GT or predicted segment are excluded.
     """
-    tp, num_pred, num_gt = Counter(), Counter(), Counter()
-    for preds, gts, matches in zip(pred_segments_per_seq, gt_segments_per_seq,
-                                   matches_per_seq, strict=True):
-        num_pred.update(s.label for s in preds)
-        num_gt.update(s.label for s in gts)
-        tp.update(s.label for s, m in zip(preds, matches, strict=True) if m is not None)
+    width = 1 + int(max(pred_labels.max(initial=-1), gt_labels.max(initial=-1)))
+    num_pred, num_gt, tp = (np.bincount(x, minlength=width).tolist()
+                            for x in (pred_labels, gt_labels, pred_labels[matched]))
     per_class = {c: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
-                 for c in sorted(num_pred.keys() | num_gt.keys())}
+                 for c in range(width) if num_pred[c] or num_gt[c]}
     head, tail, hmean = _split_average(per_class, split)
     return head, tail, hmean, per_class
 
 
-def fp_taxonomy(pred_segments: Sequence[Segment], matches: Sequence[int | None], gt_seq,
-                spec: GroupSpec, prior: TemporalPrior, group: int) -> dict[str, int]:
+def fp_taxonomy(pred: SegmentTable, matched: np.ndarray, sequences: Sequence[FrameSeq],
+                spec: GroupSpec, prior: TemporalPrior, groups: Sequence[int]) -> dict[str, int]:
     """Classify predicted segments as TP or FP1/FP2/FP3.
 
-    ``matches`` is :func:`match_segments` of the predictions against the
-    sequence's GT segments at ``TAXONOMY_IOU``. Unmatched predictions whose
-    class does not occur in ``group`` are FP1; ones whose class is in the
-    group but whose midpoint falls outside the class's ground-truth-derived
+    ``matched`` flags the rows of ``pred`` paired at ``TAXONOMY_IOU``; sequence s is
+    scored in group ``groups[s]``. Unmatched predictions whose class is not in that
+    group are FP1; ones whose midpoint falls outside their class's ground-truth-derived
     temporal bounds are FP2; the rest are FP3.
     """
-    classes = spec.classes_of_group[group]
-    lo, hi = bounds_matrix(relabel_for_group(gt_seq, spec, group), prior.groups[group])
-    counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
-    for seg, match in zip(pred_segments, matches, strict=True):
-        if match is not None:
-            counts["tp"] += 1
-        elif seg.label not in classes:
-            counts["fp1"] += 1
-        else:
-            c = classes.index(seg.label)
-            midpoint = (seg.start + seg.end) // 2
-            counts["fp2" if not lo[c] <= midpoint <= hi[c] else "fp3"] += 1
-    return counts
+    group = np.asarray(groups, dtype=np.int64)[pred.seq]
+    local = np.stack([relabel_for_group(pred.label, spec, k) for k in range(spec.n)])
+    c = local[group, np.arange(group.size)]  # each prediction's class id in its group
+    member = c < np.array([spec.others_id(k) for k in range(spec.n)])[group]
+    rows = np.flatnonzero(~matched & member)
+    fp2 = 0
+    for s in np.flatnonzero(np.bincount(pred.seq[rows])).tolist():
+        part = rows[pred.seq[rows] == s]
+        k = int(groups[s])
+        lo, hi = bounds_matrix(relabel_for_group(sequences[s], spec, k), prior.groups[k])
+        midpoint, cs = (pred.start[part] + pred.end[part]) // 2, c[part]
+        fp2 += int(np.count_nonzero((midpoint < lo[cs]) | (midpoint > hi[cs])))
+    return {"tp": int(matched.sum()), "fp1": int(np.count_nonzero(~matched & ~member)),
+            "fp2": fp2, "fp3": rows.size - fp2}
 
 
 def group_id_accuracy(pred_groups: Sequence[int], gt_groups: Sequence[int]) -> float:
@@ -269,15 +266,17 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
 
     ``exclude_classes`` drops classes (e.g. background) from the per-class
     averages and head/tail sets; global metrics always use every frame.
-    Global F1, balanced F1 and the FP taxonomy read one matching per
-    sequence and IoU threshold.
+    Global F1, balanced F1 and the FP taxonomy read one matching per IoU
+    threshold, computed on one segment table per side.
     """
     vocab = dataset.vocab
     excluded = set(exclude_classes)
     pred_labels = [p.labels for p in predictions]
     gt_labels = [s.labels for s in dataset.sequences]
-    pred_segs = [segments_from_frames(p) for p in pred_labels]
-    gt_segs = [segments_from_frames(g) for g in gt_labels]
+    for p, g in zip(pred_labels, gt_labels, strict=True):
+        if p.size != g.size:
+            raise ValueError(f"length mismatch: {p.size} vs {g.size}")
+    pred, gt = segment_table(pred_labels), segment_table(gt_labels)
 
     if excluded:
         split = HeadTailSplit(frozenset(split.head - excluded),
@@ -286,25 +285,32 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
 
     # GT frames and correctly labelled frames per class: MoF pools them,
     # per-class recall divides them class by class.
-    frames = np.zeros(len(vocab), dtype=np.int64)
-    hits = np.zeros(len(vocab), dtype=np.int64)
-    for p, g in zip(pred_labels, gt_labels, strict=True):
-        if p.size != g.size:
-            raise ValueError(f"length mismatch: {p.size} vs {g.size}")
-        frames += np.bincount(g, minlength=len(vocab))
-        hits += np.bincount(g[p == g], minlength=len(vocab))
+    g_all, p_all = np.concatenate(gt_labels), np.concatenate(pred_labels)
+    frames = np.bincount(g_all, minlength=len(vocab))
+    hits = np.bincount(g_all[p_all == g_all], minlength=len(vocab))
 
+    # Equal segment-label lists score exactly 100.0, the DP's value for them.
+    cuts = [np.searchsorted(t.seq, np.arange(1, len(gt_labels))) for t in (pred, gt)]
+    label_lists = [[a.tolist() for a in np.split(t.label, cut)] for t, cut in zip((pred, gt), cuts)]
     global_metrics: dict[str, float] = {
         "mof": 100.0 * int(hits.sum()) / int(frames.sum()),
-        "edit": float(np.mean([edit_score(p, g) for p, g in zip(pred_segs, gt_segs)])),
+        "edit": float(np.mean([edit_score(p, g) if p != g else 100.0
+                               for p, g in zip(*label_lists)])),
     }
-    candidates = [_candidates(p, g) for p, g in zip(pred_segs, gt_segs)]
-    matches = {t: [_max_matching(c, t) for c in candidates] for t in IOU_THRESHOLDS}
-    num_pred = sum(map(len, pred_segs))
-    num_gt = sum(map(len, gt_segs))
-    for t in IOU_THRESHOLDS:
-        tp = sum(m is not None for seq_matches in matches[t] for m in seq_matches)
-        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(tp, num_pred - tp, num_gt - tp) * 100.0
+
+    # Every (prediction, same-class GT segment of its sequence) pair: GT rows
+    # sorted by (sequence, label), found by binary search. Integer operands
+    # below 2**53, so the float64 IoU equals segment_iou's int true division.
+    width = 1 + int(max(pred.label.max(), gt.label.max()))
+    gt_keys = gt.seq * width + gt.label
+    order = np.argsort(gt_keys, kind="stable")
+    lo, hi = (np.searchsorted(gt_keys[order], pred.seq * width + pred.label, side)
+              for side in ("left", "right"))
+    pi = np.repeat(np.arange(pred.seq.size), hi - lo)
+    gj = order[np.arange(pi.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    inter = np.maximum(0, np.minimum(pred.end[pi], gt.end[gj])
+                       - np.maximum(pred.start[pi], gt.start[gj]))
+    iou = inter / ((pred.end - pred.start)[pi] + (gt.end - gt.start)[gj] - inter)
 
     recalls = {c: (100.0 * hits[c]) / frames[c]
                for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
@@ -315,23 +321,34 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
     per_class: dict[str, dict[str, float]] = {
         "recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())},
     }
+    # Components of the IoU >= t graph do not interact, so a lone edge is
+    # matched and any other sequence's matching equals its own _max_matching.
+    matched, candidates = {}, {}
     for t in IOU_THRESHOLDS:
+        ok = iou >= t
+        simple = ok & (np.bincount(pi[ok], minlength=pred.seq.size)[pi] == 1) \
+            & (np.bincount(gj[ok], minlength=gt.seq.size)[gj] == 1)
+        matched[t] = np.bincount(pi[simple], minlength=pred.seq.size) > 0
+        for s in np.flatnonzero(np.bincount(pred.seq[pi[ok & ~simple]])).tolist():
+            if s not in candidates:
+                candidates[s] = _candidates(segments_from_frames(pred_labels[s]),
+                                            segments_from_frames(gt_labels[s]))
+            a, b = np.searchsorted(pred.seq, (s, s + 1))
+            matched[t][a:b] = [m is not None for m in _max_matching(candidates[s], t)]
+        tp = int(matched[t].sum())
+        global_metrics[f"f1@{t:.2f}"] = f1_from_counts(
+            tp, pred.seq.size - tp, gt.seq.size - tp) * 100.0
         # excluded classes are in neither split set, so they never enter
         # the head/tail averages; drop them from the per-class detail only
-        head_f, tail_f, hmean_f, per_c = balanced_f1(pred_segs, gt_segs, matches[t], split)
+        head_f, tail_f, hmean_f, per_c = balanced_f1(pred.label, gt.label, matched[t], split)
         balanced[f"f1@{t:.2f}"] = {"head": head_f, "tail": tail_f, "hmean": hmean_f}
         per_class[f"f1@{t:.2f}"] = {vocab.name_of(c): v
                                     for c, v in sorted(per_c.items())
                                     if c not in excluded}
 
-    fp_counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
-    for segs, seq_matches, seq, k in zip(pred_segs, matches[TAXONOMY_IOU],
-                                         dataset.sequences, gt_groups):
-        counts = fp_taxonomy(segs, seq_matches, seq, spec, prior, int(k))
-        for key in fp_counts:
-            fp_counts[key] += counts[key]
-
     gid = group_id_accuracy([p.group for p in predictions], list(gt_groups))
+    fp_counts = fp_taxonomy(pred, matched[TAXONOMY_IOU], dataset.sequences, spec, prior,
+                            gt_groups)
     return MetricsReport(
         global_metrics=global_metrics,
         balanced=balanced,

@@ -224,6 +224,7 @@ class AdamState:
         self._scratch = np.empty((2, self.m.flat.size))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # train_epoch reports an overflowed state
 def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState,
               lr: float = 5e-4) -> None:
     """One Adam update, in place over the flat buffers, per element in the order

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,16 +591,32 @@ class TestCheckpointFiles:
                                            f"train_config object\n")
         assert not (out / "r2").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_adam_moment_is_one_error_line_and_no_checkpoint(self, tmp_path, capsys):
+    @staticmethod
+    def overflowing_run(tmp_path):
+        """A ``run_pipeline`` directory whose spec weights one group by 1e300."""
         out = run_pipeline(tmp_path, "w", epochs=1)
         spec = json.loads((out / "spec.json").read_text())
         spec["group_weights"][1] = 1e300  # finite and > 0, so the spec loads
         (out / "spec.json").write_text(json.dumps(spec))
+        return out
+
+    def test_overflowing_adam_moment_is_one_error_line_and_no_checkpoint(self, tmp_path, capsys):
+        out = self.overflowing_run(tmp_path)
         capsys.readouterr()
         assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "huge")]) == 1
         assert capsys.readouterr().err == "error: epoch 1: Adam v overflowed to non-finite values\n"
         assert not (out / "huge" / "checkpoint.ckpt").exists()
+
+    def test_overflowing_adam_moment_raises_no_warning(self, tmp_path):
+        """Under ``-W error::RuntimeWarning`` the overflow is still the one error line."""
+        out = self.overflowing_run(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gtla.cli", "train",
+             "--config", str(out / "run.json"), "--out", str(out / "huge")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 1
+        assert result.stderr == "error: epoch 1: Adam v overflowed to non-finite values\n"
 
     def test_train_state_list_is_one_error_line(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)

@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 import gtla
 from gtla import metrics, priors
 from gtla.data import Segment, segments_from_frames
+from gtla.data.io import SegmentTable
 
 
 def oracle_levenshtein(a, b):
@@ -59,8 +66,11 @@ def oracle_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, threshold, sp
 
 def balanced_f1_at(pred, gt, threshold, split):
     """balanced_f1 on freshly matched segments at one threshold."""
-    matches = [metrics.match_segments(p, g, threshold) for p, g in zip(pred, gt)]
-    return metrics.balanced_f1(pred, gt, matches, split)
+    matched = [m is not None for p, g in zip(pred, gt)
+               for m in metrics.match_segments(p, g, threshold)]
+    labels = [np.array([s.label for segs in side for s in segs], dtype=np.int64)
+              for side in (pred, gt)]
+    return metrics.balanced_f1(*labels, np.array(matched, dtype=bool), split)
 
 
 def f1_at(pred_segments, gt_segments, threshold):
@@ -68,10 +78,196 @@ def f1_at(pred_segments, gt_segments, threshold):
     return metrics.f1_from_counts(*metrics.match_counts(pred_segments, gt_segments, threshold))
 
 
-def taxonomy(pred, seq, spec, prior):
-    """fp_taxonomy of one sequence in its own group, matched at TAXONOMY_IOU."""
+def table_of(segments):
+    """A one-sequence SegmentTable holding ``segments``."""
+    columns = np.array(segments, dtype=np.int64).reshape(-1, 3).T
+    return SegmentTable(np.zeros(len(segments), dtype=np.int64), *columns)
+
+
+def taxonomy(pred, seq, spec, prior, group=None):
+    """fp_taxonomy of one sequence, matched at TAXONOMY_IOU and scored in ``group``
+    (default: its own)."""
     matches = metrics.match_segments(pred, segments_from_frames(seq), metrics.TAXONOMY_IOU)
-    return gtla.fp_taxonomy(pred, matches, seq, spec, prior, spec.group_of(seq))
+    group = spec.group_of(seq) if group is None else group
+    return gtla.fp_taxonomy(table_of(pred), np.array([m is not None for m in matches], dtype=bool),
+                            [seq], spec, prior, [group])
+
+
+# The per-sequence compute_report that the segment table replaced, kept verbatim as the
+# oracle of TestComputeReport.test_matches_per_sequence_oracle. Its helpers carry the
+# oracle_ prefix, and the edit distance is the full-matrix oracle_levenshtein.
+
+def oracle_segments_from_frames(labels):
+    labels = np.asarray(labels)
+    boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [labels.size]))
+    return [Segment(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
+
+
+def oracle_edit_score(pred_segments, gt_segments):
+    pred = [s.label for s in pred_segments]
+    gt = [s.label for s in gt_segments]
+    longest = max(len(pred), len(gt))
+    if longest == 0:
+        return 100.0
+    return 100.0 * (1.0 - oracle_levenshtein(pred, gt) / longest)
+
+
+def oracle_segment_iou(a, b):
+    inter = max(0, min(a.end, b.end) - max(a.start, b.start))
+    union = (a.end - a.start) + (b.end - b.start) - inter
+    return inter / union if union else 0.0
+
+
+def oracle_candidates(pred_segments, gt_segments):
+    same_class = {}
+    for j, gt in enumerate(gt_segments):
+        same_class.setdefault(gt.label, []).append(j)
+    return [sorted(((oracle_segment_iou(pred, gt_segments[j]), -j, j)
+                    for j in same_class.get(pred.label, ())), reverse=True)
+            for pred in pred_segments]
+
+
+def oracle_matching(candidates, threshold):
+    options = [[j for iou, _, j in row if iou >= threshold] for row in candidates]
+    gt_owner = {}
+
+    def assign(i, visited):
+        for j in options[i]:
+            if j in visited:
+                continue
+            visited.add(j)
+            if j not in gt_owner or assign(gt_owner[j], visited):
+                gt_owner[j] = i
+                return True
+        return False
+
+    for i in range(len(options)):
+        assign(i, set())
+    matches = [None] * len(options)
+    for j, i in gt_owner.items():
+        matches[i] = j
+    return matches
+
+
+def oracle_report_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, matches_per_seq, split):
+    tp, num_pred, num_gt = Counter(), Counter(), Counter()
+    for preds, gts, matches in zip(pred_segments_per_seq, gt_segments_per_seq,
+                                   matches_per_seq, strict=True):
+        num_pred.update(s.label for s in preds)
+        num_gt.update(s.label for s in gts)
+        tp.update(s.label for s, m in zip(preds, matches, strict=True) if m is not None)
+    per_class = {c: metrics.f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
+                 for c in sorted(num_pred.keys() | num_gt.keys())}
+    head, tail, hmean = metrics._split_average(per_class, split)
+    return head, tail, hmean, per_class
+
+
+def oracle_fp_taxonomy(pred_segments, matches, gt_seq, spec, prior, group):
+    classes = spec.classes_of_group[group]
+    lo, hi = priors.bounds_matrix(gtla.relabel_for_group(gt_seq, spec, group), prior.groups[group])
+    counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
+    for seg, match in zip(pred_segments, matches, strict=True):
+        if match is not None:
+            counts["tp"] += 1
+        elif seg.label not in classes:
+            counts["fp1"] += 1
+        else:
+            c = classes.index(seg.label)
+            midpoint = (seg.start + seg.end) // 2
+            counts["fp2" if not lo[c] <= midpoint <= hi[c] else "fp3"] += 1
+    return counts
+
+
+def oracle_compute_report(predictions, dataset, spec, prior, split, gt_groups,
+                          exclude_classes=()):
+    vocab = dataset.vocab
+    excluded = set(exclude_classes)
+    pred_labels = [p.labels for p in predictions]
+    gt_labels = [s.labels for s in dataset.sequences]
+    pred_segs = [oracle_segments_from_frames(p) for p in pred_labels]
+    gt_segs = [oracle_segments_from_frames(g) for g in gt_labels]
+
+    if excluded:
+        split = metrics.HeadTailSplit(frozenset(split.head - excluded),
+                                      frozenset(split.tail - excluded),
+                                      split.threshold, split.imbalance_ratio)
+
+    frames = np.zeros(len(vocab), dtype=np.int64)
+    hits = np.zeros(len(vocab), dtype=np.int64)
+    for p, g in zip(pred_labels, gt_labels, strict=True):
+        if p.size != g.size:
+            raise ValueError(f"length mismatch: {p.size} vs {g.size}")
+        frames += np.bincount(g, minlength=len(vocab))
+        hits += np.bincount(g[p == g], minlength=len(vocab))
+
+    global_metrics = {
+        "mof": 100.0 * int(hits.sum()) / int(frames.sum()),
+        "edit": float(np.mean([oracle_edit_score(p, g) for p, g in zip(pred_segs, gt_segs)])),
+    }
+    candidates = [oracle_candidates(p, g) for p, g in zip(pred_segs, gt_segs)]
+    matches = {t: [oracle_matching(c, t) for c in candidates] for t in metrics.IOU_THRESHOLDS}
+    num_pred = sum(map(len, pred_segs))
+    num_gt = sum(map(len, gt_segs))
+    for t in metrics.IOU_THRESHOLDS:
+        tp = sum(m is not None for seq_matches in matches[t] for m in seq_matches)
+        global_metrics[f"f1@{t:.2f}"] = metrics.f1_from_counts(tp, num_pred - tp,
+                                                               num_gt - tp) * 100.0
+
+    recalls = {c: (100.0 * hits[c]) / frames[c]
+               for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
+    head_r, tail_r, hmean_r = metrics._split_average(recalls, split)
+    balanced = {"recall": {"head": head_r, "tail": tail_r, "hmean": hmean_r}}
+    per_class = {"recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())}}
+    for t in metrics.IOU_THRESHOLDS:
+        head_f, tail_f, hmean_f, per_c = oracle_report_balanced_f1(pred_segs, gt_segs,
+                                                                   matches[t], split)
+        balanced[f"f1@{t:.2f}"] = {"head": head_f, "tail": tail_f, "hmean": hmean_f}
+        per_class[f"f1@{t:.2f}"] = {vocab.name_of(c): v
+                                    for c, v in sorted(per_c.items())
+                                    if c not in excluded}
+
+    fp_counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
+    for segs, seq_matches, seq, k in zip(pred_segs, matches[metrics.TAXONOMY_IOU],
+                                         dataset.sequences, gt_groups):
+        counts = oracle_fp_taxonomy(segs, seq_matches, seq, spec, prior, int(k))
+        for key in fp_counts:
+            fp_counts[key] += counts[key]
+
+    gid = metrics.group_id_accuracy([p.group for p in predictions], list(gt_groups))
+    return metrics.MetricsReport(
+        global_metrics=global_metrics,
+        balanced=balanced,
+        fp_counts=fp_counts,
+        group_id_accuracy=gid,
+        head_classes=sorted(vocab.name_of(c) for c in split.head),
+        tail_classes=sorted(vocab.name_of(c) for c in split.tail),
+        imbalance_ratio=split.imbalance_ratio,
+        split_threshold=split.threshold,
+        per_class=per_class,
+    )
+
+
+def random_prediction(rng, gt, num_classes):
+    """A prediction of GT labels ``gt`` of one of the kinds the report must score."""
+    kind = rng.integers(6)
+    if kind == 0:  # exact
+        return gt.copy()
+    if kind == 1:  # frame noise: fragments of one GT segment overlap it together
+        return np.where(rng.random(gt.size) < 0.15, rng.integers(0, num_classes, gt.size), gt)
+    if kind == 2:  # all wrong
+        return (gt + 1) % num_classes
+    if kind == 3:  # shifted boundaries
+        return np.roll(gt, int(rng.integers(-5, 6)))
+    if kind == 4:  # one prediction covering two GT segments of its class
+        segs = segments_from_frames(gt)
+        labels = gt.copy()
+        for a, b, c in zip(segs, segs[1:], segs[2:]):
+            if a.label == c.label:
+                labels[b.start:b.end] = a.label
+        return labels
+    return rng.integers(0, num_classes, gt.size)  # random frames
 
 
 def report_of(preds, gts, num_classes=None):
@@ -362,8 +558,7 @@ class TestFpTaxonomy:
         k = spec.group_of(corpus.sequences[1])
         assert k != spec.group_of(seq)
         pred = [Segment(go_y, 0, 2), Segment(go_y, 10, 20)]
-        matches = metrics.match_segments(pred, segments_from_frames(seq), 0.25)
-        counts = gtla.fp_taxonomy(pred, matches, seq, spec, prior, k)
+        counts = taxonomy(pred, seq, spec, prior, k)
         assert counts == {"tp": 0, "fp1": 0, "fp2": 1, "fp3": 1}
 
     def test_counts_partition_predictions(self, rng):
@@ -438,28 +633,96 @@ class TestComputeReport:
                     "head_tail", "per_class"):
             assert key in payload
 
-    def test_matches_once_per_sequence_and_threshold(self, rng, monkeypatch):
+    def test_max_matching_runs_only_for_contested_sequences(self, rng, monkeypatch):
         train, test, spec, prior, split = self.build_eval(rng)
-        preds = [gtla.Prediction(s.id, spec.group_of(s), np.roll(s.labels, 3), np.zeros(spec.n))
-                 for s in test.sequences]
+        preds = []
+        for i, s in enumerate(test.sequences):
+            labels = s.labels.copy()
+            if i % 2:  # a one-frame error splits a segment: two predictions overlap it
+                for seg in segments_from_frames(s)[::2]:
+                    labels[(seg.start + seg.end) // 2] = (seg.label + 1) % len(test.vocab)
+            preds.append(gtla.Prediction(s.id, spec.group_of(s), labels, np.zeros(spec.n)))
         gt_groups = [spec.group_of(s) for s in test.sequences]
         calls, candidate_calls = [], []
         candidates, max_matching = metrics._candidates, metrics._max_matching
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append((len(args[0]), args[1]))
             return max_matching(*args)
 
         def counted_candidates(*args):
-            candidate_calls.append(args)
+            candidate_calls.append(len(args[0]))
             return candidates(*args)
 
         monkeypatch.setattr(metrics, "_max_matching", counted)
         monkeypatch.setattr(metrics, "_candidates", counted_candidates)
         gtla.compute_report(preds, test, spec, prior, split, gt_groups)
-        assert len(calls) == len(metrics.IOU_THRESHOLDS) * len(test.sequences)
-        assert sorted(set(calls)) == sorted(metrics.IOU_THRESHOLDS)
-        assert len(candidate_calls) == len(test.sequences)  # IoUs once for all thresholds
+        contested = []  # (sequence, threshold) where a segment has two candidates
+        for n, (p, s) in enumerate(zip(preds, test.sequences)):
+            pred_segs, gt_segs = segments_from_frames(p.labels), segments_from_frames(s)
+            for t in metrics.IOU_THRESHOLDS:
+                edges = [(i, j) for i, a in enumerate(pred_segs) for j, b in enumerate(gt_segs)
+                         if a.label == b.label and metrics.segment_iou(a, b) >= t]
+                degrees = Counter(("pred", i) for i, _ in edges) + Counter(("gt", j) for _, j in edges)
+                if max(degrees.values(), default=0) > 1:
+                    contested.append((n, t))
+        assert 0 < len(contested) < len(metrics.IOU_THRESHOLDS) * len(test.sequences)
+        num_segments = [len(segments_from_frames(p.labels)) for p in preds]
+        assert sorted(calls) == sorted((num_segments[n], t) for n, t in contested)
+        # IoUs once per contested sequence, for all thresholds
+        assert sorted(candidate_calls) == sorted(num_segments[n] for n in {n for n, _ in contested})
+
+    @pytest.mark.parametrize("mode", ["activity", "cluster"])
+    def test_matches_per_sequence_oracle(self, rng, mode):
+        """The segment-table report is byte-identical to the per-sequence one."""
+        for case in range(12):
+            cfg = gtla.longtail_benchmark_config(seed=case, train_per_activity=3,
+                                                 test_per_activity=2)
+            train, test = gtla.synth_generate(cfg)
+            num_classes = len(test.vocab)
+            seqs = list(test.sequences)
+            for i in range(int(rng.integers(0, 3))):  # 1-frame sequences
+                seqs.append(gtla.FrameSeq(seqs[i].labels[-1:], activity=seqs[i].activity,
+                                          id=f"one{i}"))
+            for seq in seqs:  # a GT segment split in two by another class
+                if rng.random() < 0.3 and seq.num_frames > 12:
+                    seq.labels[seq.num_frames // 2] = (seq.labels[seq.num_frames // 2] + 1) \
+                        % num_classes
+            test = gtla.Corpus(test.vocab, seqs,
+                               [gtla.FeatureMatrix(np.zeros((1, s.num_frames))) for s in seqs])
+            groups = gtla.ByActivity() if mode == "activity" else gtla.ByClustering(3)
+            spec = gtla.build_group_spec(train, groups)
+            prior = gtla.extract_priors(train, spec)
+            split = gtla.head_tail_split(train, float(rng.choice([50, 300, 1000])))
+            gt_groups = [spec.group_of(s) if mode == "activity" else
+                         spec.nearest_group(s, test.vocab) for s in seqs]
+            preds = [gtla.Prediction(s.id, int(rng.integers(spec.n)) if rng.random() < 0.3 else k,
+                                     random_prediction(rng, s.labels, num_classes),
+                                     np.zeros(spec.n))
+                     for s, k in zip(seqs, gt_groups)]
+            excluded = tuple(rng.choice(num_classes, size=int(rng.integers(0, 3)), replace=False))
+            args = (preds, test, spec, prior, split, gt_groups, excluded)
+            report = gtla.compute_report(*args).to_dict()
+            assert json.dumps(report, sort_keys=True) == \
+                json.dumps(oracle_compute_report(*args).to_dict(), sort_keys=True)
+
+    def test_never_imports_numpy_ma(self):
+        # np.unique's first call imports numpy.ma: about 12 ms and 1.7 MB per eval process.
+        script = (
+            "import sys, numpy as np, gtla\n"
+            "train, test = gtla.synth_generate(gtla.longtail_benchmark_config("
+            "seed=0, train_per_activity=3, test_per_activity=2))\n"
+            "spec = gtla.build_group_spec(train, gtla.ByActivity())\n"
+            "groups = [spec.group_of(s) for s in test.sequences]\n"
+            "preds = [gtla.Prediction(s.id, k, np.roll(s.labels, 3), np.zeros(spec.n))\n"
+            "         for s, k in zip(test.sequences, groups)]\n"
+            "gtla.compute_report(preds, test, spec, gtla.extract_priors(train, spec),\n"
+            "                    gtla.head_tail_split(train, 300), groups)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(gtla.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout == "False\n"
 
     def test_exclude_classes_drops_from_averages(self, rng):
         train, test, spec, prior, split = self.build_eval(rng)

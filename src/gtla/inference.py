@@ -44,7 +44,8 @@ def predict_sequence(features, params: ModelParams, spec: GroupSpec,
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:
     """Eval-mode predictions for every sequence, in corpus order. One process per CPU in the
-    affinity mask predicts a contiguous shard of about equal frame count: the caller the first."""
+    affinity mask predicts a contiguous shard of about equal frame count; the caller, which then
+    scores alone, takes the last: at most an equal share unless the final sequence is longer."""
     if len(dataset) and dataset.feature_dim != params.cfg.in_dim:
         raise ConfigError(f"corpus features have dim {dataset.feature_dim}, "
                           f"model expects {params.cfg.in_dim}")
@@ -54,7 +55,7 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     ends = np.cumsum([0] + [seq.num_frames for seq in dataset.sequences])
     cuts = np.searchsorted(ends, np.linspace(0, ends[-1], min(cpus, len(dataset)) + 1)).tolist()
-    first, *rest = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b] or [range(0)]
+    *rest, last = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b] or [range(0)]
     children = []
     try:
         for shard in rest:  # a forked child inherits params, dataset and spec, unpickled
@@ -64,7 +65,8 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
             child.start()
             children.append((child, receiver))
             sender.close()  # the child holds the only writer left, so its exit ends the pipe
-        predictions = _predict(params, dataset, spec, first)
+        own = _predict(params, dataset, spec, last)
+        predictions = []
         for child, receiver in children:
             try:
                 result = receiver.recv()
@@ -74,11 +76,11 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
             if isinstance(result, Exception):
                 raise result
             predictions += result
+        return predictions + own
     finally:  # once one shard failed the others are moot; after success all have been sent
         for child, _ in children:
             child.terminate()
             child.join()
-    return predictions
 
 
 def _predict(params, dataset, spec, shard: range, sender=None) -> list[Prediction] | None:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Corpus, FrameSeq, Segment, segments_from_frames
+from .data import Corpus, FrameSeq, Segment
 from .data.io import SegmentTable, segment_table, write_json
 from .grouping import GroupSpec, relabel_for_group
 from .inference import Prediction
@@ -48,20 +48,12 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return previous[-1]
 
 
-def edit_score(pred_segments: Sequence, gt_segments: Sequence) -> float:
+def edit_score(pred_labels: Sequence[int], gt_labels: Sequence[int]) -> float:
     """Normalized edit similarity (percent) between two segment label lists."""
-    pred = [s.label if isinstance(s, Segment) else s for s in pred_segments]
-    gt = [s.label if isinstance(s, Segment) else s for s in gt_segments]
-    longest = max(len(pred), len(gt))
+    longest = max(len(pred_labels), len(gt_labels))
     if longest == 0:
         return 100.0
-    return 100.0 * (1.0 - levenshtein(pred, gt) / longest)
-
-
-def segment_iou(a: Segment, b: Segment) -> float:
-    inter = max(0, min(a.end, b.end) - max(a.start, b.start))
-    union = (a.end - a.start) + (b.end - b.start) - inter
-    return inter / union if union else 0.0
+    return 100.0 * (1.0 - levenshtein(pred_labels, gt_labels) / longest)
 
 
 def match_segments(pred_segments: Sequence[Segment], gt_segments: Sequence[Segment],
@@ -74,26 +66,56 @@ def match_segments(pred_segments: Sequence[Segment], gt_segments: Sequence[Segme
     tried first, so the TP count cannot depend on segment ordering and the
     result is deterministic.
     """
-    return _max_matching(_candidates(pred_segments, gt_segments), threshold)
+    pred, gt = (SegmentTable(np.zeros(len(s), dtype=np.int64),
+                             *np.array(s, dtype=np.int64).reshape(-1, 3).T)
+                for s in (pred_segments, gt_segments))
+    [matches] = _match(pred, gt, (threshold,))
+    return [j if j >= 0 else None for j in matches.tolist()]
 
 
-def _candidates(pred_segments: Sequence[Segment],
-                gt_segments: Sequence[Segment]) -> list[list[tuple[float, int, int]]]:
-    """Per prediction, ``(iou, -j, j)`` for every same-class GT segment j, in the order the
-    matching tries them: highest IoU first, ties to the lower index. Any threshold's
-    candidates are a prefix of this list, so one list serves every threshold."""
-    same_class: dict[int, list[int]] = {}
-    for j, gt in enumerate(gt_segments):
-        same_class.setdefault(gt.label, []).append(j)
-    return [sorted(((segment_iou(pred, gt_segments[j]), -j, j)
-                    for j in same_class.get(pred.label, ())), reverse=True)
-            for pred in pred_segments]
+def _match(pred: SegmentTable, gt: SegmentTable,
+           thresholds: Sequence[float]) -> list[np.ndarray]:
+    """:func:`match_segments` of every sequence of two tables at once: per threshold, each
+    ``pred`` row's matched ``gt`` row, or -1. Each (prediction, same-class GT segment of its
+    sequence) pair is ranked once: by prediction, highest IoU first, ties to the lower GT row,
+    so any threshold's options are a prefix. A pair that is the only candidate of both its
+    segments is matched directly; components of the IoU >= t graph do not interact, so any
+    other sequence's matching is its own :func:`_max_matching` over its ranked options."""
+    # GT rows sorted by (sequence, label), found by binary search. Integer operands
+    # below 2**53, so the float64 IoU equals the exact quotient correctly rounded.
+    width = 1 + int(max(pred.label.max(initial=-1), gt.label.max(initial=-1)))
+    gt_keys = gt.seq * width + gt.label
+    order = np.argsort(gt_keys, kind="stable")
+    lo, hi = (np.searchsorted(gt_keys[order], pred.seq * width + pred.label, side)
+              for side in ("left", "right"))
+    pi = np.repeat(np.arange(pred.seq.size), hi - lo)
+    gj = order[np.arange(pi.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    inter = np.maximum(0, np.minimum(pred.end[pi], gt.end[gj])
+                       - np.maximum(pred.start[pi], gt.start[gj]))
+    iou = inter / ((pred.end - pred.start)[pi] + (gt.end - gt.start)[gj] - inter)
+    rank = np.lexsort((gj, -iou, pi))
+    pi, gj, iou = pi[rank], gj[rank], iou[rank]
+
+    result = []
+    for t in thresholds:
+        ok = iou >= t
+        p, g = pi[ok], gj[ok]  # still ranked
+        simple = (np.bincount(p, minlength=pred.seq.size)[p] == 1) \
+            & (np.bincount(g, minlength=gt.seq.size)[g] == 1)
+        matches = np.full(pred.seq.size, -1, dtype=np.int64)
+        matches[p[simple]] = g[simple]
+        for s in np.flatnonzero(np.bincount(pred.seq[p[~simple]])).tolist():
+            a, b = np.searchsorted(pred.seq, (s, s + 1))
+            rows = slice(*np.searchsorted(p, (a, b)))
+            options = np.split(g[rows], np.searchsorted(p[rows], np.arange(a + 1, b)))
+            matches[a:b] = _max_matching([o.tolist() for o in options])
+        result.append(matches)
+    return result
 
 
-def _max_matching(candidates: list[list[tuple[float, int, int]]],
-                  threshold: float) -> list[int | None]:
-    """:func:`match_segments` over the :func:`_candidates` with IoU >= ``threshold``."""
-    options = [[j for iou, _, j in row if iou >= threshold] for row in candidates]
+def _max_matching(options: list[list[int]]) -> list[int]:
+    """Augmenting-path maximum matching in prediction order: prediction i may take the GT
+    rows ``options[i]``, tried in that order. Returns each prediction's GT row, or -1."""
     gt_owner: dict[int, int] = {}
 
     def assign(i: int, visited: set[int]) -> bool:
@@ -108,7 +130,7 @@ def _max_matching(candidates: list[list[tuple[float, int, int]]],
 
     for i in range(len(options)):
         assign(i, set())
-    matches: list[int | None] = [None] * len(options)
+    matches = [-1] * len(options)
     for j, i in gt_owner.items():
         matches[i] = j
     return matches
@@ -298,20 +320,6 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
                                for p, g in zip(*label_lists)])),
     }
 
-    # Every (prediction, same-class GT segment of its sequence) pair: GT rows
-    # sorted by (sequence, label), found by binary search. Integer operands
-    # below 2**53, so the float64 IoU equals segment_iou's int true division.
-    width = 1 + int(max(pred.label.max(), gt.label.max()))
-    gt_keys = gt.seq * width + gt.label
-    order = np.argsort(gt_keys, kind="stable")
-    lo, hi = (np.searchsorted(gt_keys[order], pred.seq * width + pred.label, side)
-              for side in ("left", "right"))
-    pi = np.repeat(np.arange(pred.seq.size), hi - lo)
-    gj = order[np.arange(pi.size) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
-    inter = np.maximum(0, np.minimum(pred.end[pi], gt.end[gj])
-                       - np.maximum(pred.start[pi], gt.start[gj]))
-    iou = inter / ((pred.end - pred.start)[pi] + (gt.end - gt.start)[gj] - inter)
-
     recalls = {c: (100.0 * hits[c]) / frames[c]
                for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
     head_r, tail_r, hmean_r = _split_average(recalls, split)
@@ -321,20 +329,8 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
     per_class: dict[str, dict[str, float]] = {
         "recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())},
     }
-    # Components of the IoU >= t graph do not interact, so a lone edge is
-    # matched and any other sequence's matching equals its own _max_matching.
-    matched, candidates = {}, {}
+    matched = {t: m >= 0 for t, m in zip(IOU_THRESHOLDS, _match(pred, gt, IOU_THRESHOLDS))}
     for t in IOU_THRESHOLDS:
-        ok = iou >= t
-        simple = ok & (np.bincount(pi[ok], minlength=pred.seq.size)[pi] == 1) \
-            & (np.bincount(gj[ok], minlength=gt.seq.size)[gj] == 1)
-        matched[t] = np.bincount(pi[simple], minlength=pred.seq.size) > 0
-        for s in np.flatnonzero(np.bincount(pred.seq[pi[ok & ~simple]])).tolist():
-            if s not in candidates:
-                candidates[s] = _candidates(segments_from_frames(pred_labels[s]),
-                                            segments_from_frames(gt_labels[s]))
-            a, b = np.searchsorted(pred.seq, (s, s + 1))
-            matched[t][a:b] = [m is not None for m in _max_matching(candidates[s], t)]
         tp = int(matched[t].sum())
         global_metrics[f"f1@{t:.2f}"] = f1_from_counts(
             tp, pred.seq.size - tp, gt.seq.size - tp) * 100.0

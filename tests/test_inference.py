@@ -254,7 +254,7 @@ class TestShardedPredictCorpus:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
-    def test_contiguous_shards_of_about_equal_frames_the_first_in_the_caller(
+    def test_contiguous_shards_of_about_equal_frames_the_first_in_children_the_last_in_the_caller(
             self, monkeypatch, problem, n):
         corpus, _, _ = problem
         self.cpus(monkeypatch, n)
@@ -262,12 +262,14 @@ class TestShardedPredictCorpus:
         assert [seq_id for seq_id, _ in seen] == [s.id for s in corpus.sequences]
         shards = [pid for i, (_, pid) in enumerate(seen) if i == 0 or pid != seen[i - 1][1]]
         assert len(shards) == len(set(shards))  # contiguous
-        assert shards[0] == os.getpid() and os.getpid() not in shards[1:]
+        assert shards[-1] == os.getpid() and os.getpid() not in shards[:-1]
         frames = dict.fromkeys(shards, 0)
         for (_, pid), length in zip(seen, self.LENGTHS):
             frames[pid] += length
+        share = sum(self.LENGTHS) / min(n, len(corpus))
+        # the caller goes on to score the corpus alone, so it takes no more than its share
+        assert frames[os.getpid()] <= share, frames
         if n < len(corpus):  # each cut lies within one sequence of its equal-frames target
-            share = sum(self.LENGTHS) / n
             assert len(shards) == n
             assert all(abs(f - share) <= max(self.LENGTHS) for f in frames.values()), frames
         else:  # cuts that fall on the same boundary give one shard, never an empty one
@@ -292,24 +294,24 @@ class TestShardedPredictCorpus:
     @pytest.mark.parametrize("n", [2, 3])
     def test_an_error_in_a_child_is_raised_in_the_caller(self, monkeypatch, problem, n):
         corpus, spec, params = problem
-        last = corpus.sequences[-1].id  # in the last shard, so in a child
+        first = corpus.sequences[0].id  # in the first shard, so in a child
 
         def fail(seq_id):
-            if seq_id == last:
+            if seq_id == first:
                 raise ConfigError(f"cannot predict {seq_id}")
 
         self.patch_predict_sequence(monkeypatch, before=fail)
         self.cpus(monkeypatch, n)
-        with pytest.raises(ConfigError, match=f"^cannot predict {last}$"):
+        with pytest.raises(ConfigError, match=f"^cannot predict {first}$"):
             gtla.predict_corpus(params, corpus, spec)
         assert multiprocessing.active_children() == []
 
     def test_a_child_that_dies_names_its_exit_code(self, monkeypatch, problem):
         corpus, spec, params = problem
-        caller, last = os.getpid(), corpus.sequences[-1].id
+        caller, first = os.getpid(), corpus.sequences[0].id
 
         def die(seq_id):
-            if seq_id == last and os.getpid() != caller:  # never exit the test runner
+            if seq_id == first and os.getpid() != caller:  # never exit the test runner
                 os._exit(7)
 
         self.patch_predict_sequence(monkeypatch, before=die)
@@ -321,12 +323,12 @@ class TestShardedPredictCorpus:
     def test_an_error_in_the_callers_shard_terminates_the_children(self, monkeypatch,
                                                                   problem):
         corpus, spec, params = problem
-        caller, first = os.getpid(), corpus.sequences[0].id
+        caller, last = os.getpid(), corpus.sequences[-1].id
 
         def stall_or_fail(seq_id):
             if os.getpid() != caller:
                 time.sleep(60)  # a child still busy when the caller fails
-            elif seq_id == first:
+            elif seq_id == last:
                 raise ValueError("caller failed")
 
         self.patch_predict_sequence(monkeypatch, before=stall_or_fail)

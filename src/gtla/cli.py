@@ -12,72 +12,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from contextlib import suppress
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
-from .data.io import read_json, write_json
+from .data.io import JSON_NAMES, check_keys, from_json, get, read_json, typed, write_json
 from .errors import ConfigError, FormatError, GtlaError
-
-
-def _check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-
-
-# Config-file spellings of the dataclass fields that are not spelled as-is.
-_JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
-
-
-# JSON value types accepted for each scalar field type; bool is never a number.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
-
-
-def _typed(value, kind, ctx: str, key: str):
-    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``.
-
-    A dataclass is read from an object by ``_from_json``, ``dict[str, X]`` from
-    an object of ``X`` values, and ``tuple[X, ...]`` from an array of ``X``
-    values; nested objects extend ``ctx`` with the key they sit under.
-    """
-    origin = get_origin(kind)
-    if is_dataclass(kind) and isinstance(value, dict):
-        return _from_json(kind, value, f"{ctx}: {key}")
-    if origin is dict and isinstance(value, dict):
-        return {name: _typed(item, get_args(kind)[1], f"{ctx}: {key}", name)
-                for name, item in value.items()}
-    if origin is tuple and isinstance(value, list):
-        return tuple(_typed(item, get_args(kind)[0], ctx, key) for item in value)
-    if not isinstance(value, bool) and isinstance(value, _JSON_TYPES.get(kind, ())):
-        with suppress(OverflowError):  # an integer beyond the float range
-            return kind(value)
-    raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
-
-
-def _get(section: dict, key: str, kind, ctx: str, default=None):
-    """``section[key]`` checked by ``_typed``, or ``default`` when absent."""
-    return _typed(section[key], kind, ctx, key) if key in section else default
-
-
-def _from_json(cls, payload: dict, ctx: str, **given):
-    """Build dataclass ``cls`` from a config object. Each field not in ``given``
-    is read from its key (the ``_JSON_NAMES`` spelling) as its annotated type;
-    it is required when it has no default and keeps its default when omitted."""
-    hints = get_type_hints(cls)
-    names = {_JSON_NAMES.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
-    _check_keys(payload, set(names), ctx)
-    for key, f in names.items():
-        if key in payload:
-            given[f.name] = _typed(payload[key], hints[f.name], ctx, key)
-        elif f.default is MISSING:
-            raise ConfigError(f"{ctx}: missing key {key!r}")
-    try:
-        return cls(**given)
-    except ConfigError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering:
@@ -106,7 +46,7 @@ def cmd_synth(args) -> int:
         cfg = data.longtail_benchmark_config(seed=args.seed or 0)
     elif args.config:
         payload = read_json(args.config)
-        cfg = _from_json(data.SynthConfig, {k: v for k, v in payload.items() if k != "version"},
+        cfg = from_json(data.SynthConfig, {k: v for k, v in payload.items() if k != "version"},
                          "synth config")
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -143,39 +83,39 @@ def cmd_priors(args) -> int:
 
 def cmd_train(args) -> int:
     payload = read_json(args.config)
-    _check_keys(payload, {"version", "seed", "data", "groups", "backbone",
+    check_keys(payload, {"version", "seed", "data", "groups", "backbone",
                           "train", "out"}, "run config")
     root = Path(args.config).parent
-    data_section = _get(payload, "data", dict, "run config", {})
-    _check_keys(data_section, {"train_manifest"}, "data section")
+    data_section = get(payload, "data", dict, "run config", {})
+    check_keys(data_section, {"train_manifest"}, "data section")
     if "train_manifest" not in data_section:
         raise ConfigError("run config: data.train_manifest is required")
     corpus = data.load_corpus(
-        root / _typed(data_section["train_manifest"], str, "data section", "train_manifest"))
+        root / typed(data_section["train_manifest"], str, "data section", "train_manifest"))
 
-    seed = args.seed if args.seed is not None else _get(payload, "seed", int, "run config")
+    seed = args.seed if args.seed is not None else get(payload, "seed", int, "run config")
     if seed is None:
         raise ConfigError("run config: a seed is required (field or --seed)")
-    train_cfg = _from_json(losses.TrainConfig, _get(payload, "train", dict, "run config", {}),
+    train_cfg = from_json(losses.TrainConfig, get(payload, "train", dict, "run config", {}),
                            "train section", seed=seed)
     for f in fields(train_cfg):  # one flag at a time, so an error names its flag
         if (value := getattr(args, f.name, None)) is not None:
-            flag = f"--{_JSON_NAMES.get(f.name, f.name)} {value}"
-            train_cfg = _from_json(losses.TrainConfig, {}, flag,
+            flag = f"--{JSON_NAMES.get(f.name, f.name)} {value}"
+            train_cfg = from_json(losses.TrainConfig, {}, flag,
                                    **{**train_cfg.to_dict(), f.name: value})
 
-    out_field = _get(payload, "out", str, "run config")
+    out_field = get(payload, "out", str, "run config")
     out = Path(args.out or out_field or "run")
 
-    groups = dict(_get(payload, "groups", dict, "run config", {}))
-    mode_text = _typed(groups.pop("mode", "activity"), str, "groups section", "mode")
-    files = {key: _typed(groups.pop(key), str, "groups section", key)
+    groups = dict(get(payload, "groups", dict, "run config", {}))
+    mode_text = typed(groups.pop("mode", "activity"), str, "groups section", "mode")
+    files = {key: typed(groups.pop(key), str, "groups section", key)
              for key in ("spec", "priors") if key in groups}
     modes = {"activity": grouping.ByActivity, "cluster": grouping.ByClustering}
     if mode_text not in modes:
         raise ConfigError(f"groups section: 'mode' must be 'activity' or 'cluster', "
                           f"got {mode_text!r}")
-    mode = _from_json(modes[mode_text], groups, "groups section")
+    mode = from_json(modes[mode_text], groups, "groups section")
     if args.groups:
         mode, files = _parse_groups_mode(args.groups), {}
     if "spec" in files:
@@ -188,7 +128,7 @@ def cmd_train(args) -> int:
     else:
         prior = priors.extract_priors(corpus, spec)
 
-    backbone = _from_json(model.BackboneConfig, _get(payload, "backbone", dict, "run config", {}),
+    backbone = from_json(model.BackboneConfig, get(payload, "backbone", dict, "run config", {}),
                           "backbone section", in_dim=corpus.feature_dim,
                           head_sizes=spec.head_sizes(), seed=seed)
 
@@ -223,7 +163,7 @@ def cmd_train(args) -> int:
     model.save_checkpoint(ckpt, state.params, step=state.adam.t, adam=state.adam,
                           extra={"train_config": train_cfg.to_dict(),
                                  "train_state": state.rng_payload()})
-    write_json(out / "train_log.json", {"version": 1, "loss": state.history,
+    write_json(out / "train_log.json", {"loss": state.history,
                                         "train_config": train_cfg.to_dict()})
     print(f"trained {train_cfg.epochs} epoch(s), final loss "
           f"{state.history[-1]:.4f} -> {ckpt}")
@@ -280,13 +220,13 @@ _REPORT_COLUMNS = [
 
 
 def _report_value(payload: dict, path: tuple[str, ...], kind, ctx: str):
-    """The value at ``path`` in a metrics report, read as ``kind`` by ``_typed``."""
+    """The value at ``path`` in a metrics report, read as ``kind`` by ``typed``."""
     value = payload
     for depth, key in enumerate(path, 1):
         where = ".".join(path[:depth])
         if key not in value:
             raise ConfigError(f"{ctx}: missing key {where!r}")
-        value = _typed(value[key], kind if depth == len(path) else dict, ctx, where)
+        value = typed(value[key], kind if depth == len(path) else dict, ctx, where)
     return value
 
 
@@ -319,7 +259,7 @@ def cmd_report(args) -> int:
     if args.out:
         Path(args.out).with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
         write_json(Path(args.out).with_suffix(".json"),
-                   {"version": 1, "baseline": rows[0]["name"], "rows": rows})
+                   {"baseline": rows[0]["name"], "rows": rows})
     return 0
 
 

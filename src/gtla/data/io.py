@@ -1,4 +1,4 @@
-"""Core sequence types and Breakfast-format file I/O.
+"""Core sequence types, Breakfast-format file I/O and the typed JSON reader.
 
 A corpus on disk is a mapping file (``<id> <name>`` per line), one label
 file per sequence (one class name per line), one (dim, frames) float32
@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from types import UnionType
+from typing import Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import ConfigError, FormatError
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,6 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         entries.append({"id": seq.id, "activity": seq.activity,
                         "labels": label_rel, "features": feat_rel})
     manifest = {
-        "version": 1,
         "mapping": "mapping.txt",
         "feature_dim": corpus.feature_dim,
         "sequences": entries,
@@ -284,9 +285,10 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """UTF-8 JSON with indent 2, sorted keys and a trailing newline; NaN or inf raise ValueError."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                          encoding="utf-8")
+    """``payload`` with ``"version": 1`` as UTF-8 JSON with indent 2, sorted keys and a
+    trailing newline; NaN or inf raise ValueError."""
+    text = json.dumps({**payload, "version": 1}, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _finite(literal: str) -> float:
@@ -312,6 +314,66 @@ def read_json(path: str | Path) -> dict:
     if type(payload.get("version")) is not int or payload["version"] != 1:
         raise FormatError(f"{path}: unsupported or missing version {payload.get('version')!r}")
     return payload
+
+
+def check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
+    unknown = set(payload) - allowed
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
+
+
+# File spellings of the dataclass fields that are not spelled as-is.
+JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
+
+
+# JSON value types accepted for each scalar field type; bool is never a number.
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+
+
+def typed(value, kind, ctx: str, key: str):
+    """``value`` as ``kind`` if its JSON type fits ``kind``, else ``ConfigError``.
+
+    A dataclass is read from an object by ``from_json``, ``dict[str, X]`` from an object of
+    ``X`` values, ``tuple[X, ...]`` from an array of ``X`` values and ``X | None`` from
+    ``null`` or an ``X``; nested objects extend ``ctx`` with the key they sit under.
+    """
+    origin = get_origin(kind)
+    if is_dataclass(kind) and isinstance(value, dict):
+        return from_json(kind, value, f"{ctx}: {key}")
+    if origin is dict and isinstance(value, dict):
+        return {name: typed(item, get_args(kind)[1], f"{ctx}: {key}", name)
+                for name, item in value.items()}
+    if origin is tuple and isinstance(value, list):
+        return tuple(typed(item, get_args(kind)[0], ctx, key) for item in value)
+    if origin is UnionType:  # X | None
+        return None if value is None else typed(value, get_args(kind)[0], ctx, key)
+    if not isinstance(value, bool) and isinstance(value, JSON_TYPES.get(kind, ())):
+        with suppress(OverflowError):  # an integer beyond the float range
+            return kind(value)
+    raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
+
+
+def get(section: dict, key: str, kind, ctx: str, default=None):
+    """``section[key]`` checked by ``typed``, or ``default`` when absent."""
+    return typed(section[key], kind, ctx, key) if key in section else default
+
+
+def from_json(cls, payload: dict, ctx: str, **given):
+    """Build dataclass ``cls`` from a JSON object. Each field not in ``given`` is
+    read from its key (the ``JSON_NAMES`` spelling) as its annotated type; it is
+    required when it has no default or default factory, else keeps its default."""
+    hints = get_type_hints(cls)
+    names = {JSON_NAMES.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
+    check_keys(payload, set(names), ctx)
+    for key, f in names.items():
+        if key in payload:
+            given[f.name] = typed(payload[key], hints[f.name], ctx, key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{ctx}: missing key {key!r}")
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def load_corpus(manifest_path: str | Path) -> Corpus:

@@ -9,13 +9,13 @@ distributions under a symmetric KL distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq
-from .data.io import read_json, write_json
+from .data.io import from_json, read_json, typed, write_json
 from .errors import ConfigError, FormatError
 
 KL_FLOOR = 1e-8
@@ -222,51 +222,37 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpe
 
 
 def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
-    write_json(path, {
-        "version": 1,
-        "mode": spec.mode,
-        "n": spec.n,
-        "classes_of_group": [[vocab.name_of(c) for c in cls]
-                             for cls in spec.classes_of_group],
-        "group_weights": list(spec.group_weights),
-        "group_of_activity": spec.group_of_activity,
-        "group_of_sequence": spec.group_of_sequence,
-        "centroids": [list(c) for c in spec.centroids] if spec.centroids else None,
-    })
+    write_json(path, {**asdict(spec), "classes_of_group": [[vocab.name_of(c) for c in cls]
+                                                           for cls in spec.classes_of_group]})
 
 
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
-    """The spec :func:`save_group_spec` wrote; bad content is one FormatError naming the file."""
-    payload = read_json(path)
+    """A :func:`save_group_spec` file, typed by ``GroupSpec``'s fields; else one FormatError."""
+    payload, ctx = read_json(path), f"{path}: group spec"
+    del payload["version"]
     try:
-        for k, cls in enumerate(payload["classes_of_group"]):
+        names = typed(payload.pop("classes_of_group", None), tuple[tuple[str, ...], ...],
+                      ctx, "classes_of_group")
+        for k, cls in enumerate(names):
             for i, name in enumerate(cls):
                 if name not in vocab.index:
                     raise FormatError(f"{path}: group spec names unknown class {name!r}")
                 if name in cls[:i]:  # the head would carry a logit no frame trains
                     raise FormatError(f"{path}: group spec lists class {name!r} twice in group {k}")
-        classes = tuple(tuple(vocab.id_of(name) for name in cls)
-                        for cls in payload["classes_of_group"])
-        centroids = payload.get("centroids")
-        spec = GroupSpec(
-            n=int(payload["n"]),
-            mode=payload["mode"],
-            classes_of_group=classes,
-            group_weights=tuple(float(w) for w in payload["group_weights"]),
-            group_of_activity={a: int(k) for a, k in payload["group_of_activity"].items()},
-            group_of_sequence={s: int(k) for s, k in payload["group_of_sequence"].items()},
-            centroids=tuple(tuple(map(float, c)) for c in centroids) if centroids else None,
-        )
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: malformed group spec: {type(exc).__name__} {exc}") from exc
-    if not len(classes) == len(spec.group_weights) == spec.n:
-        raise FormatError(f"{path}: group spec has n = {spec.n} but {len(classes)} class "
+        spec = from_json(GroupSpec, payload, ctx, classes_of_group=tuple(
+            tuple(vocab.id_of(name) for name in cls) for cls in names))
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
+    if spec.mode not in ("activity", "cluster"):
+        raise FormatError(f"{path}: group spec mode {spec.mode!r} is not 'activity' or 'cluster'")
+    if not len(names) == len(spec.group_weights) == spec.n:
+        raise FormatError(f"{path}: group spec has n = {spec.n} but {len(names)} class "
                           f"lists and {len(spec.group_weights)} weights")
     for k, weight in enumerate(spec.group_weights):
         if not 0.0 < weight < np.inf:  # the loss scales with it; NaN fails too
             raise FormatError(f"{path}: group {k}: weight {weight!r} is not finite and > 0")
-    if spec.centroids and (len(spec.centroids) != spec.n
-                           or any(len(c) != len(vocab) for c in spec.centroids)):
+    if spec.centroids is not None and (len(spec.centroids) != spec.n
+                                       or any(len(c) != len(vocab) for c in spec.centroids)):
         raise FormatError(f"{path}: group spec needs {spec.n} centroids of {len(vocab)} values")
     ids = {*spec.group_of_activity.values(), *spec.group_of_sequence.values()}
     outside = sorted(k for k in ids if not 0 <= k < spec.n)

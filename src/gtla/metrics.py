@@ -262,7 +262,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
             "global": self.global_metrics,
             "balanced": self.balanced,
             "fp_taxonomy": self.fp_counts,

@@ -3,9 +3,9 @@
 The network is a 1x1 input convolution followed by K residual blocks
 (width-3 dilated convolution with dilation 2^l, ReLU, 1x1 projection,
 dropout, residual add) and one linear classifier per group. It computes
-in float64 on float32 features widened per sequence (``Corpus.widened``);
-forward keeps a tape of intermediates so that backward can produce exact
-gradients for every parameter.
+in float64 on float32 features widened to a Fortran-ordered buffer (by
+``Corpus.widened``, or by forward for a ``FeatureMatrix``); forward keeps a
+tape of intermediates so backward can produce exact gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureMatrix
-from .data.io import parse_json
+from .data.io import parse_json, typed
 from .errors import ConfigError, FormatError, TrainingError
 
 
@@ -125,8 +125,8 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     Dropout fires when ``dropout_rng`` is given (training) and draws its
     masks from it; without one the pass is deterministic (evaluation).
     """
-    x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
-    x = x.astype(np.float64, copy=False)
+    x = (np.asfortranarray(features.values, dtype=np.float64) if isinstance(features, FeatureMatrix)
+         else np.asarray(features).astype(np.float64, copy=False))
     cfg = params.cfg
     if x.ndim != 2 or x.shape[0] != cfg.in_dim:
         raise ValueError(f"features must be {cfg.in_dim} x T, got {x.shape}")
@@ -271,12 +271,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
                 raise ValueError(f"header version {header['version']!r}, not 2")
             cfg = BackboneConfig(**{**header["config"],
                                     "head_sizes": tuple(header["config"]["head_sizes"])})
-            params, adam = ModelParams(cfg, None), AdamState(cfg, t=int(header["adam_t"]))
+            adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
+            params, adam = ModelParams(cfg, None), AdamState(cfg, t=adam_t)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
                 if (stored := npz[name]).shape != flat.shape:  # it would broadcast
                     raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")
                 flat[...] = stored
-            extra = {**header["extra"], "step": header["step"]}
+            extra = {**header["extra"], "step": step}
         # flipped zip metadata can raise OSError, NotImplementedError or RuntimeError
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, KeyError,
                 TypeError, RecursionError, ConfigError) as exc:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
-from .data.io import read_json, write_json
+from .data.io import read_json, typed, write_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -158,7 +158,14 @@ def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
             "must_follow": {names[c]: sorted(names[x] for x in gp.must_follow[c])
                             for c in range(gp.num_classes)},
         })
-    write_json(path, {"version": 1, "groups": groups})
+    write_json(path, {"groups": groups})
+
+
+@dataclass(frozen=True)
+class _GroupPriorEntry:  # one group of a priors file, keyed by class name
+    prior: dict[str, float]
+    must_precede: dict[str, tuple[str, ...]]
+    must_follow: dict[str, tuple[str, ...]]
 
 
 def load_temporal_prior(path: str | Path, spec: GroupSpec,
@@ -166,20 +173,24 @@ def load_temporal_prior(path: str | Path, spec: GroupSpec,
     """Priors as :func:`save_temporal_prior` wrote them; bad content is one FormatError."""
     payload = read_json(path)
     try:
+        entries = typed(payload.get("groups"), tuple[_GroupPriorEntry, ...],
+                        f"{path}: temporal prior", "groups")
         groups = []
-        for entry, classes in zip(payload["groups"], spec.classes_of_group, strict=True):
+        for entry, classes in zip(entries, spec.classes_of_group, strict=True):
             names = [vocab.name_of(g) for g in classes]
             local = {name: c for c, name in enumerate(names)}
-            prior = np.array([entry["prior"][name] for name in names], dtype=np.float64)
+            prior = np.array([entry.prior[name] for name in names])
             for name, value in zip(names, prior):
                 if not 0.0 <= value <= 1.0:  # NaN fails too
                     raise FormatError(f"{path}: group {len(groups)}: prior {value} of class "
                                       f"{name!r} is outside [0, 1]")
-            precede = tuple(frozenset(local[x] for x in entry["must_precede"][name])
+            precede = tuple(frozenset(local[x] for x in entry.must_precede[name])
                             for name in names)
-            follow = tuple(frozenset(local[x] for x in entry["must_follow"][name])
+            follow = tuple(frozenset(local[x] for x in entry.must_follow[name])
                            for name in names)
             groups.append(GroupPrior(prior, precede, follow))
         return TemporalPrior(tuple(groups))
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
+    except (LookupError, ValueError) as exc:
         raise FormatError(f"{path}: malformed temporal prior: {type(exc).__name__} {exc}") from exc

@@ -511,6 +511,25 @@ class TestVersionedJsonFiles:
         assert capsys.readouterr().err == f"error: {bad}: {self.MESSAGES[edit]}\n"
         assert not dest.exists()
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("spec", lambda payload: payload["group_of_activity"].update(first=1.5),
+         "group spec: group_of_activity: bad value 1.5 for 'first'"),
+        ("priors", lambda payload: payload["groups"][0]["prior"].update(idle="0.5"),
+         "temporal prior: groups: prior: bad value '0.5' for 'idle'"),
+    ], ids=["spec-group-id-float", "priors-value-str"])
+    def test_mistyped_value_is_one_error_line_naming_the_file(self, pipeline, tmp_path, capsys,
+                                                              name, edit, message):
+        payload = json.loads((pipeline / f"{name}.json").read_text())
+        edit(payload)
+        bad, dest = pipeline / "mistyped.json", tmp_path / "out"
+        bad.write_text(json.dumps(payload))
+        argv = eval_argv(pipeline, pipeline / "run" / "checkpoint.ckpt", dest)
+        argv[argv.index(f"--{name}") + 1] = str(bad)
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not dest.exists()
+
 
 class TestCheckpointFiles:
     def test_train_runs_write_byte_identical_checkpoints(self, tmp_path):

@@ -468,6 +468,11 @@ def test_write_json_refuses_what_read_json_would(tmp_path, value):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_write_json_writes_the_version_read_json_checks(tmp_path):
+    data.io.write_json(tmp_path / "out.json", {"a": 1})
+    assert data.io.read_json(tmp_path / "out.json") == {"a": 1, "version": 1}
+
+
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "out.json"
     data.io.write_json(path, {"version": 1, "b": 1, "a": [2.5, "é"]})

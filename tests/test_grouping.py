@@ -492,7 +492,7 @@ def test_group_spec_non_numeric_centroid_rejected(tmp_path):
     payload = json.loads(path.read_text())
     payload["centroids"][1][0] = "x"
     path.write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match=f"^{path}: malformed group spec: ValueError"):
+    with pytest.raises(FormatError, match=f"^{path}: group spec: bad value 'x' for 'centroids'$"):
         grouping.load_group_spec(path, corpus.vocab)
 
 
@@ -504,4 +504,6 @@ def test_group_spec_weight_must_be_finite_and_positive(tmp_path, weights, k):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError) as exc:
         grouping.load_group_spec(path, vocab)
-    assert str(exc.value) == f"{path}: group {k}: weight {float(weights[k])!r} is not finite and > 0"
+    assert str(exc.value) == (
+        f"{path}: group spec: bad value 'nan' for 'group_weights'" if isinstance(weights[k], str)
+        else f"{path}: group {k}: weight {float(weights[k])!r} is not finite and > 0")

@@ -56,6 +56,22 @@ def test_forward_is_length_preserving():
         assert all(l.shape == (h, frames) for l, h in zip(out.logits, cfg.head_sizes))
 
 
+@pytest.mark.parametrize("dim, frames", [(8, 164), (32, 77), (64, 300)])
+def test_feature_matrix_computes_on_the_fortran_layout_of_a_widened_corpus(dim, frames):
+    """A C-ordered in-memory FeatureMatrix gives the logits and gradients of the
+    Fortran-ordered float64 buffer ``Corpus.widened`` hands to training and eval."""
+    params = gtla.init_params(small_config(hidden=32, layers=6, dim=dim))
+    feats = gtla.FeatureMatrix(np.random.default_rng(1).standard_normal((dim, frames)))
+    assert feats.values.flags.c_contiguous
+    direct = gtla.forward(feats, params)
+    widened = gtla.forward(np.asfortranarray(feats.values, dtype=np.float64), params)
+    upstream = [np.random.default_rng(2).standard_normal(s.shape) for s in direct.logits]
+    for a, b in zip(direct.logits, widened.logits):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(model.backward(direct.tape, upstream).flat,
+                                  model.backward(widened.tape, upstream).flat)
+
+
 def test_eval_mode_deterministic_and_matches_zero_dropout_train(rng):
     cfg = small_config(dropout=0.0)
     params = gtla.init_params(cfg)
@@ -351,6 +367,16 @@ def _retype_feature_dim(path, kind):
     _edit_json(path, feature_dim=kind(json.loads(path.read_text())["feature_dim"]))
 
 
+def _set_first(mapping, value):
+    """Give the first key of a JSON object another value."""
+    mapping[next(iter(mapping))] = value
+
+
+def _set_header(**values):
+    """A header edit for ``_rewrite_header`` that overwrites top-level keys."""
+    return lambda head: json.dumps({**json.loads(head), **values}).encode()
+
+
 def _zero_hidden(head):
     header = json.loads(head)
     header["config"]["hidden"] = 0
@@ -382,13 +408,25 @@ def _zero_hidden(head):
                                       sequences=[{"id": "s", "labels": 5, "features": "f"}])),
     ("manifest", lambda p: _edit_json(p / "manifest.json", sequences=5)),
     ("manifest", lambda p: _edit_json(p / "manifest.json", mapping=5)),
+    ("spec", lambda p: _edit_payload(p, lambda d: _set_first(d["group_of_activity"], 1.9))),
+    ("spec", lambda p: _edit_payload(p, lambda d: _set_first(d["group_of_activity"], True))),
+    ("spec", lambda p: _edit_payload(p, lambda d: d.update(n=str(d["n"])))),
+    ("spec", lambda p: _edit_json(p, mode="bogus")),
+    ("spec", lambda p: _edit_json(p, group_weight=[1.0])),
+    ("priors", lambda p: _edit_payload(p, lambda d: _set_first(d["groups"][0]["prior"], "0.5"))),
+    ("priors", lambda p: _edit_payload(p, lambda d: _set_first(d["groups"][0]["prior"], True))),
+    ("priors", lambda p: _edit_payload(p, lambda d: _set_first(d["groups"][0]["must_precede"],
+                                                                ""))),
+    ("checkpoint", lambda p: _rewrite_header(p, _set_header(adam_t=2.7))),
 ], ids=["ckpt-bad-json", "ckpt-no-config", "ckpt-bad-config", "spec-bad-json",
         "spec-not-object", "priors-bad-json", "priors-bad-utf8", "spec-wrong-type",
         "spec-wrong-container", "spec-n-not-group-count", "spec-extra-weight",
         "spec-group-id-out-of-range", "spec-bad-centroids", "priors-wrong-type", "priors-wrong-entry",
         "priors-too-few-groups", "manifest-dim-str", "manifest-dim-float",
         "manifest-entry-keys", "manifest-entry-not-object", "manifest-entry-not-string",
-        "manifest-sequences-not-array", "manifest-mapping-not-string"])
+        "manifest-sequences-not-array", "manifest-mapping-not-string", "spec-group-id-float",
+        "spec-group-id-bool", "spec-n-str", "spec-bad-mode", "spec-unknown-key",
+        "priors-value-str", "priors-value-bool", "priors-order-str", "ckpt-adam-t-float"])
 def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
     corpus, spec, prior, params = tiny_problem(rng)
     path = tmp_path / kind

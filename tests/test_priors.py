@@ -317,5 +317,7 @@ class TestExtractPriors:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError) as exc:
             priors.load_temporal_prior(path, spec, train.vocab)
-        assert str(exc.value) == (f"{path}: group 1: prior {float(value)} of class 'idle' "
-                                  f"is outside [0, 1]")
+        assert str(exc.value) == (
+            f"{path}: temporal prior: groups: prior: bad value 'nan' for 'idle'"
+            if isinstance(value, str) else
+            f"{path}: group 1: prior {float(value)} of class 'idle' is outside [0, 1]")

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import accumulate
 from pathlib import Path
 from types import UnionType
-from typing import Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -119,16 +119,6 @@ class Corpus:
     @property
     def feature_dim(self) -> int:
         return self.features[0].dim if self.features else 0
-
-    def widened(self, order: Iterable[int] | None = None) -> Iterator[tuple[FrameSeq, np.ndarray]]:
-        """(sequence, float64 features) in ``order`` (default: corpus order), each a view of one
-        reused dim x max-T buffer, Fortran-ordered like a loaded file, overwritten by the next."""
-        buf = np.empty((self.feature_dim, max((f.num_frames for f in self.features), default=0)),
-                       order="F")
-        for idx in range(len(self)) if order is None else order:
-            x = buf[:, :self.features[idx].num_frames]
-            x[...] = self.features[idx].values
-            yield self.sequences[idx], x
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -86,7 +86,8 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
 def _predict(params, dataset, spec, shard: range, sender=None) -> list[Prediction] | None:
     """``predict_sequence`` over ``shard``; a child sends that list, or its exception, instead."""
     if sender is None:
-        return [predict_sequence(x, params, spec, seq.id) for seq, x in dataset.widened(shard)]
+        return [predict_sequence(dataset.features[i], params, spec, dataset.sequences[i].id)
+                for i in shard]
     try:
         sender.send(_predict(params, dataset, spec, shard))
     except Exception as exc:  # the parent re-raises it

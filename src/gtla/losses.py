@@ -99,7 +99,7 @@ def la_loss(logits: np.ndarray, labels: np.ndarray, prior: np.ndarray,
             tau: float) -> tuple[float, np.ndarray]:
     """Cross-entropy on prior-offset logits s + tau * log p(class) (Menon et
     al. 2021); the gradient flows through the softmax of the adjusted logits."""
-    return ce_loss(logits + tau * clamped_log(prior)[:, None], labels)
+    return ce_loss((logits + tau * clamped_log(prior)[:, None]).astype(logits.dtype), labels)
 
 
 def gtla_adjust(logits: np.ndarray, labels: np.ndarray, prior: GroupPrior,
@@ -111,7 +111,7 @@ def gtla_adjust(logits: np.ndarray, labels: np.ndarray, prior: GroupPrior,
     a class's bounds receive the true label's adjustment instead of the
     class's own, which cancels the margin shift there.
     """
-    out = logits.astype(np.float64)
+    out = logits.copy()
     if tau != 0.0:
         factor = temporal_factor_matrix(labels, prior) if temporal_factor else 1.0
         out[:prior.num_classes] += tau * (factor * prior.clamped_log_prior()[:, None])

@@ -2,24 +2,24 @@
 
 The network is a 1x1 input convolution followed by K residual blocks
 (width-3 dilated convolution with dilation 2^l, ReLU, 1x1 projection,
-dropout, residual add) and one linear classifier per group. It computes
-in float64 on float32 features widened to a Fortran-ordered buffer (by
-``Corpus.widened``, or by forward for a ``FeatureMatrix``); forward keeps a
-tape of intermediates so backward can produce exact gradients for every parameter.
+dropout, residual add) and one linear classifier per group. It computes in
+the parameter buffer's dtype (float32 once trained or loaded) on features in
+the Fortran order of a loaded file; forward keeps a tape of intermediates so
+backward can produce exact gradients for every parameter.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureMatrix
-from .data.io import parse_json, typed
+from .data.io import from_json, parse_json, typed
 from .errors import ConfigError, FormatError, TrainingError
 
 
@@ -63,12 +63,13 @@ def _layout(cfg: BackboneConfig) -> tuple[tuple[str, tuple[int, ...], slice], ..
 
 
 class FlatTensors(dict):
-    """Named views into one contiguous float64 buffer ``flat``; assign into a
+    """Named views into one contiguous buffer ``flat`` of ``dtype``; assign into a
     view (``t[name][...] = x``), since rebinding a name detaches it."""
 
-    def __init__(self, cfg: BackboneConfig, tensors: dict[str, np.ndarray] | None = None):
+    def __init__(self, cfg: BackboneConfig, tensors: dict[str, np.ndarray] | None = None,
+                 dtype=np.float64):
         self.layout = _layout(cfg)
-        self.flat = np.zeros(self.layout[-1][2].stop)
+        self.flat = np.zeros(self.layout[-1][2].stop, dtype)
         super().__init__((name, self.flat[span].reshape(shape))
                          for name, shape, span in self.layout)
         for name, view in self.items() if tensors is not None else ():
@@ -77,17 +78,19 @@ class FlatTensors(dict):
 
 @dataclass
 class ModelParams:
-    """Parameter tensors keyed by name (copied into FlatTensors; None: zeros), plus config."""
+    """Parameter tensors keyed by name (copied into FlatTensors of ``dtype``; None: zeros)."""
 
     cfg: BackboneConfig
     values: dict[str, np.ndarray] | None
+    dtype: InitVar[type] = np.float64
 
-    def __post_init__(self):
-        self.values = FlatTensors(self.cfg, self.values)
+    def __post_init__(self, dtype):
+        self.values = FlatTensors(self.cfg, self.values, dtype)
 
 
-def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization of every tensor."""
+def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None,
+                dtype=np.float64) -> ModelParams:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws in float64, stored in ``dtype``."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     fan_in = {"in": cfg.in_dim, "dilated": 3 * cfg.hidden, "proj": cfg.hidden,
               "head": cfg.hidden}
@@ -97,7 +100,7 @@ def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None) -> 
         kind = "head" if kind.startswith("head") else kind
         bound = 1.0 / np.sqrt(fan_in.get(kind, cfg.hidden))
         values[name] = rng.uniform(-bound, bound, size=shape)
-    return ModelParams(cfg, values)
+    return ModelParams(cfg, values, dtype)
 
 
 @dataclass
@@ -125,8 +128,9 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     Dropout fires when ``dropout_rng`` is given (training) and draws its
     masks from it; without one the pass is deterministic (evaluation).
     """
-    x = (np.asfortranarray(features.values, dtype=np.float64) if isinstance(features, FeatureMatrix)
-         else np.asarray(features).astype(np.float64, copy=False))
+    dtype = params.values.flat.dtype
+    x = (np.asfortranarray(features.values, dtype=dtype) if isinstance(features, FeatureMatrix)
+         else np.asarray(features).astype(dtype, copy=False))
     cfg = params.cfg
     if x.ndim != 2 or x.shape[0] != cfg.in_dim:
         raise ValueError(f"features must be {cfg.in_dim} x T, got {x.shape}")
@@ -135,17 +139,18 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     # Each layer input is written once, into the middle of its padded buffer;
     # only the d pad columns on each side are zeroed.
     pads = [2 ** layer for layer in range(cfg.num_layers)]
-    layer_inputs = [np.empty((cfg.hidden, num_frames + 2 * d)) for d in pads]
+    layer_inputs = [np.empty((cfg.hidden, num_frames + 2 * d), dtype) for d in pads]
     for d, buf in zip(pads, layer_inputs):
         buf[:, :d] = buf[:, -d:] = 0.0
     inner = [buf[:, d:-d] for d, buf in zip(pads, layer_inputs)] + [None]
     z = np.add(p["in.w"] @ x, p["in.b"][:, None], out=inner[0])
     layer_relu, layer_masks = [], [None] * cfg.num_layers
     if dropout_rng is not None and cfg.dropout > 0.0:
-        # One draw for all layers yields the same values as one draw per layer.
+        # One float64 draw for all layers yields the same values as one draw per layer.
         keep = 1.0 - cfg.dropout
         drawn = dropout_rng.random((cfg.num_layers, cfg.hidden, num_frames))
-        layer_masks = list(np.divide(np.less(drawn, keep, out=drawn), keep, out=drawn))
+        layer_masks = list(np.divide(np.less(drawn, keep, out=drawn), keep, out=drawn)
+                           .astype(dtype, copy=False))
     for layer, d in enumerate(pads):
         # width-3 dilated convolution: tap k reads the padded input shifted by k * d
         padded, w = layer_inputs[layer], p[f"layer{layer}.dilated.w"]
@@ -173,7 +178,7 @@ def backward(tape: Tape, d_logits: list[np.ndarray], out: FlatTensors | None = N
     p = tape.params.values
     if len(d_logits) != len(cfg.head_sizes):
         raise ValueError("one upstream gradient per group head required")
-    grads = FlatTensors(cfg) if out is None else out
+    grads = FlatTensors(cfg, dtype=p.flat.dtype) if out is None else out
 
     d_z = np.zeros_like(tape.z)
     for i, d_l in enumerate(d_logits):
@@ -219,12 +224,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam moments ``m`` and ``v`` laid out like the parameters, and the step count."""
 
-    def __init__(self, cfg: BackboneConfig, t: int = 0):
-        self.m, self.v, self.t = FlatTensors(cfg), FlatTensors(cfg), t
-        self._scratch = np.empty((2, self.m.flat.size))
+    def __init__(self, cfg: BackboneConfig, t: int = 0, dtype=np.float64):
+        self.m, self.v, self.t = FlatTensors(cfg, dtype=dtype), FlatTensors(cfg, dtype=dtype), t
+        self._scratch = np.empty((2, self.m.flat.size), dtype)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # train_epoch reports an overflowed state
 def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState,
               lr: float = 5e-4) -> None:
     """One Adam update, in place over the flat buffers, per element in the order
@@ -262,17 +266,19 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
-    """Params, Adam state and extra header dict; a damaged file raises one ``FormatError``."""
+    """Float32 params, Adam state and extra header dict; damage raises one ``FormatError``."""
     with open(path, "rb") as fh:  # closing it releases the archive too
         try:
             npz = np.lib.npyio.NpzFile(fh)
             header = parse_json(npz["header"].item())
             if header["version"] != 2:
                 raise ValueError(f"header version {header['version']!r}, not 2")
-            cfg = BackboneConfig(**{**header["config"],
-                                    "head_sizes": tuple(header["config"]["head_sizes"])})
+            # The header spells every field as-is; config files spell num_layers "layers".
+            config = dict(header["config"])
+            layers = typed(config.pop("num_layers"), int, "header: config", "num_layers")
+            cfg = from_json(BackboneConfig, config, "header: config", num_layers=layers)
             adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
-            params, adam = ModelParams(cfg, None), AdamState(cfg, t=adam_t)
+            params, adam = ModelParams(cfg, None, np.float32), AdamState(cfg, adam_t, np.float32)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
                 if (stored := npz[name]).shape != flat.shape:  # it would broadcast
                     raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")

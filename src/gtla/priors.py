@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
-from .data.io import read_json, typed, write_json
+from .data.io import check_keys, read_json, typed, write_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -173,6 +173,7 @@ def load_temporal_prior(path: str | Path, spec: GroupSpec,
     """Priors as :func:`save_temporal_prior` wrote them; bad content is one FormatError."""
     payload = read_json(path)
     try:
+        check_keys(payload, {"version", "groups"}, f"{path}: temporal prior")
         entries = typed(payload.get("groups"), tuple[_GroupPriorEntry, ...],
                         f"{path}: temporal prior", "groups")
         groups = []

@@ -49,7 +49,7 @@ class TrainState:
     grads: FlatTensors = field(init=False, repr=False)  # reused by every step
 
     def __post_init__(self):
-        self.grads = FlatTensors(self.params.cfg)
+        self.grads = FlatTensors(self.params.cfg, dtype=self.params.values.flat.dtype)
 
     def rng_payload(self) -> dict:
         return {
@@ -81,20 +81,22 @@ class TrainState:
 
 
 def init_train_state(train_cfg: TrainConfig, backbone: BackboneConfig) -> TrainState:
-    return TrainState(init_params(backbone, _substream(train_cfg.seed, "init")),
-                      AdamState(backbone), _substream(train_cfg.seed, "dropout"),
-                      _substream(train_cfg.seed, "order"))
+    return TrainState(init_params(backbone, _substream(train_cfg.seed, "init"), np.float32),
+                      AdamState(backbone, dtype=np.float32), _substream(train_cfg.seed, "dropout"),
+                      _substream(train_cfg.seed, "order"))  # float32: what a checkpoint stores
 
 
+@np.errstate(over="ignore", invalid="ignore")  # adam_step or the check below reports it
 def train_epoch(state: TrainState, train: Corpus, spec: GroupSpec,
                 prior: TemporalPrior, cfg: TrainConfig) -> float:
     """One pass over the corpus in shuffled order; returns the mean loss."""
     order = state.order_rng.permutation(len(train.sequences))
     total = 0.0
-    for seq, x in train.widened(order):
+    for idx in order:
+        seq = train.sequences[idx]
         k = spec.group_of(seq)
         local = relabel_for_group(seq, spec, k)
-        out = forward(x, state.params, dropout_rng=state.dropout_rng)
+        out = forward(train.features[idx], state.params, dropout_rng=state.dropout_rng)
         loss, d_logits, _ = total_loss(out.logits, local, k, spec, prior, cfg)
         grads = backward(out.tape, d_logits, out=state.grads)
         adam_step(state.params, grads, state.adam, lr=cfg.lr)

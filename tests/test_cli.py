@@ -516,7 +516,9 @@ class TestVersionedJsonFiles:
          "group spec: group_of_activity: bad value 1.5 for 'first'"),
         ("priors", lambda payload: payload["groups"][0]["prior"].update(idle="0.5"),
          "temporal prior: groups: prior: bad value '0.5' for 'idle'"),
-    ], ids=["spec-group-id-float", "priors-value-str"])
+        ("priors", lambda payload: payload.update(grops=[]),
+         "temporal prior: unknown key(s) ['grops']"),
+    ], ids=["spec-group-id-float", "priors-value-str", "priors-unknown-key"])
     def test_mistyped_value_is_one_error_line_naming_the_file(self, pipeline, tmp_path, capsys,
                                                               name, edit, message):
         payload = json.loads((pipeline / f"{name}.json").read_text())
@@ -611,13 +613,27 @@ class TestCheckpointFiles:
         assert not (out / "r2").exists()
 
     @staticmethod
-    def overflowing_run(tmp_path):
-        """A ``run_pipeline`` directory whose spec weights one group by 1e300."""
+    def overflowing_run(tmp_path, weight=1e25):
+        """A ``run_pipeline`` directory whose spec weights one group by ``weight``: by
+        default, gradients stay finite in float32 but Adam's v = g * g overflows."""
         out = run_pipeline(tmp_path, "w", epochs=1)
         spec = json.loads((out / "spec.json").read_text())
-        spec["group_weights"][1] = 1e300  # finite and > 0, so the spec loads
+        spec["group_weights"][1] = weight  # finite and > 0, so the spec loads
         (out / "spec.json").write_text(json.dumps(spec))
         return out
+
+    def test_overflowing_gradient_is_one_error_line_and_no_checkpoint(self, tmp_path):
+        """A weight of 1e300 overflows the float32 gradient itself: adam_step refuses it,
+        and under ``-W error::RuntimeWarning`` no warning comes first."""
+        out = self.overflowing_run(tmp_path, weight=1e300)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gtla.cli", "train",
+             "--config", str(out / "run.json"), "--out", str(out / "huge")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 1
+        assert result.stderr == "error: non-finite gradient in 'in.w' at step 4\n"
+        assert not (out / "huge" / "checkpoint.ckpt").exists()
 
     def test_overflowing_adam_moment_is_one_error_line_and_no_checkpoint(self, tmp_path, capsys):
         out = self.overflowing_run(tmp_path)

@@ -4,7 +4,8 @@ The references below are the straightforward implementations the flat core
 replaced: a per-tensor Adam loop, a dilated convolution that pads its input
 with ``np.pad`` in forward and again in backward, and per-class temporal
 bounds (the scalar oracle kept in ``test_priors``). The flat core keeps every floating-point operation in the same
-order, so results must be equal bit for bit, not merely close.
+order, and the references compute in the parameters' dtype as it does, so
+results must be equal bit for bit, not merely close.
 """
 
 from dataclasses import replace
@@ -46,10 +47,10 @@ def ref_dilated_conv_backward(x, w, d_out, d):
 
 
 def ref_forward(features, params, dropout_rng=None):
-    """Per-tensor forward, dropout drawn layer by layer from ``dropout_rng`` if
-    given; the tape is a dict of unpadded layer inputs."""
+    """Per-tensor forward in the parameters' dtype, dropout drawn in float64 layer by
+    layer from ``dropout_rng`` if given; the tape is a dict of unpadded layer inputs."""
     x = features.values if isinstance(features, gtla.FeatureMatrix) else np.asarray(features)
-    x = x.astype(np.float64, copy=False)
+    x = x.astype(params.values.flat.dtype, copy=False)
     cfg, p = params.cfg, params.values
     z = p["in.w"] @ x + p["in.b"][:, None]
     tape = {"params": params, "x": x, "inputs": [], "pre": [], "masks": []}
@@ -62,7 +63,7 @@ def ref_forward(features, params, dropout_rng=None):
             + p[f"layer{layer}.proj.b"][:, None]
         if dropout_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
-            mask = (dropout_rng.random(branch.shape) < keep) / keep
+            mask = ((dropout_rng.random(branch.shape) < keep) / keep).astype(branch.dtype)
             branch = branch * mask
         else:
             mask = None
@@ -211,7 +212,7 @@ def ref_state(state):
 
 
 def random_grads(params, rng, scale=1.0):
-    grads = model.FlatTensors(params.cfg)
+    grads = model.FlatTensors(params.cfg, dtype=params.values.flat.dtype)
     grads.flat[...] = rng.standard_normal(grads.flat.size) * scale
     return grads
 
@@ -232,18 +233,19 @@ def test_adam_matches_per_tensor_reference_over_five_steps(rng):
 
 
 def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
-    params = gtla.init_params(backbone(0.0))
-    state = gtla.AdamState(params.cfg)
+    """A float32 state saved and loaded is the same state: the reference continues
+    from the loaded moments in float32 and the loaded state keeps its buffers."""
+    params = gtla.init_params(backbone(0.0), dtype=np.float32)
+    state = gtla.AdamState(params.cfg, dtype=np.float32)
     steps = [random_grads(params, rng) for _ in range(3)]
     gtla.adam_step(params, steps[0], state)
     model.save_checkpoint(tmp_path / "c.ckpt", params, step=1, adam=state)
     loaded, adam, _ = model.load_checkpoint(tmp_path / "c.ckpt")
     assert adam.t == 1
-    for saved, moment in ((state.m, adam.m), (state.v, adam.v)):
-        assert isinstance(moment, model.FlatTensors)
-        assert_tensors_equal(moment, {n: a.astype(np.float32).astype(np.float64)
-                                      for n, a in saved.items()})
-    ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values), ref_state(adam)
+    for saved, moment in ((params.values, loaded.values), (state.m, adam.m), (state.v, adam.v)):
+        assert isinstance(moment, model.FlatTensors) and moment.flat.dtype == np.float32
+        assert_tensors_equal(moment, saved)
+    ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values, np.float32), ref_state(adam)
     buffers = (adam.m.flat, adam.v.flat)
     for grads in steps[1:]:
         gtla.adam_step(loaded, grads, adam)

@@ -243,7 +243,7 @@ class TestShardedPredictCorpus:
     def test_bit_identical_to_the_per_sequence_loop(self, monkeypatch, problem, n):
         corpus, spec, params = problem
         expected = [inference.predict_sequence(x, params, spec, seq_id=seq.id)
-                    for seq, x in corpus.widened()]
+                    for seq, x in corpus]
         self.cpus(monkeypatch, n)
         got = gtla.predict_corpus(params, corpus, spec)
         assert [(p.seq_id, p.group) for p in got] == [(p.seq_id, p.group) for p in expected]

@@ -125,6 +125,17 @@ class TestLaLoss:
         assert grad_rare[1, 0] < grad_freq[0, 0] < 0
 
 
+def test_loss_helpers_keep_float32(rng):
+    """Training computes in float32: no helper hands float64 back to backward."""
+    logits = rng.standard_normal((4, 9)).astype(np.float32)
+    labels = np.array([0, 0, 1, 1, 1, 2, 2, 0, 1])
+    prior = gtla.GroupPrior(np.full(3, 1 / 3), (frozenset(),) * 3, (frozenset(),) * 3)
+    assert gtla.ce_loss(logits, labels)[1].dtype == np.float32
+    assert gtla.la_loss(logits, labels, np.full(4, 0.25), tau=0.5)[1].dtype == np.float32
+    assert gtla.smoothing_loss(logits)[1].dtype == np.float32
+    assert gtla.gtla_adjust(logits, labels, prior, tau=0.5).dtype == np.float32
+
+
 def open_prior(probs):
     n = len(probs)
     return gtla.GroupPrior(np.asarray(probs, dtype=float),

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
-from .data.io import JSON_NAMES, check_keys, from_json, get, read_json, typed, write_json
+from .data.io import JSON_NAMES, from_json, read_json, typed, write_json
 from .errors import ConfigError, FormatError, GtlaError
 
 
@@ -32,10 +32,10 @@ def _parse_groups_mode(text: str) -> grouping.ByActivity | grouping.ByClustering
 
 
 def _group_spec(corpus: data.Corpus, mode, ctx: str) -> grouping.GroupSpec:
-    """``build_group_spec``, its ``ValueError`` naming the flag or section that set ``mode``."""
+    """``build_group_spec``, its errors naming the flag or section that set ``mode``."""
     try:
         return grouping.build_group_spec(corpus, mode)
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
@@ -45,9 +45,7 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"unknown preset {args.preset!r}")
         cfg = data.longtail_benchmark_config(seed=args.seed or 0)
     elif args.config:
-        payload = read_json(args.config)
-        cfg = from_json(data.SynthConfig, {k: v for k, v in payload.items() if k != "version"},
-                         "synth config")
+        cfg = from_json(data.SynthConfig, read_json(args.config), "synth config")
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
     else:
@@ -81,33 +79,42 @@ def cmd_priors(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    payload = read_json(args.config)
-    check_keys(payload, {"version", "seed", "data", "groups", "backbone",
-                          "train", "out"}, "run config")
-    root = Path(args.config).parent
-    data_section = get(payload, "data", dict, "run config", {})
-    check_keys(data_section, {"train_manifest"}, "data section")
-    if "train_manifest" not in data_section:
-        raise ConfigError("run config: data.train_manifest is required")
-    corpus = data.load_corpus(
-        root / typed(data_section["train_manifest"], str, "data section", "train_manifest"))
+@dataclass(frozen=True)
+class RunConfig:
+    """A run config file; each section is read by the schema of what it configures."""
 
-    seed = args.seed if args.seed is not None else get(payload, "seed", int, "run config")
+    seed: int | None = None
+    data: dict = field(default_factory=dict)
+    groups: dict = field(default_factory=dict)
+    backbone: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    out: str | None = None
+
+
+@dataclass(frozen=True)
+class DataSection:
+    train_manifest: str
+
+
+def cmd_train(args) -> int:
+    run = from_json(RunConfig, read_json(args.config), "run config")
+    root = Path(args.config).parent
+    data_section = from_json(DataSection, run.data, "data section")
+    corpus = data.load_corpus(root / data_section.train_manifest)
+
+    seed = args.seed if args.seed is not None else run.seed
     if seed is None:
         raise ConfigError("run config: a seed is required (field or --seed)")
-    train_cfg = from_json(losses.TrainConfig, get(payload, "train", dict, "run config", {}),
-                           "train section", seed=seed)
+    train_cfg = from_json(losses.TrainConfig, run.train, "train section", seed=seed)
     for f in fields(train_cfg):  # one flag at a time, so an error names its flag
         if (value := getattr(args, f.name, None)) is not None:
             flag = f"--{JSON_NAMES.get(f.name, f.name)} {value}"
             train_cfg = from_json(losses.TrainConfig, {}, flag,
                                    **{**train_cfg.to_dict(), f.name: value})
 
-    out_field = get(payload, "out", str, "run config")
-    out = Path(args.out or out_field or "run")
+    out = Path(args.out or run.out or "run")
 
-    groups = dict(get(payload, "groups", dict, "run config", {}))
+    groups = dict(run.groups)
     mode_text = typed(groups.pop("mode", "activity"), str, "groups section", "mode")
     files = {key: typed(groups.pop(key), str, "groups section", key)
              for key in ("spec", "priors") if key in groups}
@@ -128,9 +135,8 @@ def cmd_train(args) -> int:
     else:
         prior = priors.extract_priors(corpus, spec)
 
-    backbone = from_json(model.BackboneConfig, get(payload, "backbone", dict, "run config", {}),
-                          "backbone section", in_dim=corpus.feature_dim,
-                          head_sizes=spec.head_sizes(), seed=seed)
+    backbone = from_json(model.BackboneConfig, run.backbone, "backbone section",
+                         in_dim=corpus.feature_dim, head_sizes=spec.head_sizes(), seed=seed)
 
     if args.resume:
         params, adam, extra = model.load_checkpoint(args.resume)
@@ -220,14 +226,11 @@ _REPORT_COLUMNS = [
 
 
 def _report_value(payload: dict, path: tuple[str, ...], kind, ctx: str):
-    """The value at ``path`` in a metrics report, read as ``kind`` by ``typed``."""
-    value = payload
+    """The value at ``path`` in a metrics report, each level read by ``typed``."""
     for depth, key in enumerate(path, 1):
-        where = ".".join(path[:depth])
-        if key not in value:
-            raise ConfigError(f"{ctx}: missing key {where!r}")
-        value = typed(value[key], kind if depth == len(path) else dict, ctx, where)
-    return value
+        payload = typed(payload.get(key, MISSING), kind if depth == len(path) else dict, ctx,
+                        ".".join(path[:depth]))
+    return payload
 
 
 def cmd_report(args) -> int:

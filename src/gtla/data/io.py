@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import suppress
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
 from types import UnionType
@@ -258,19 +258,13 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     write_mapping(out / "mapping.txt", corpus.vocab)
     entries = []
     for seq, feats in corpus:
-        label_rel = f"groundTruth/{seq.id}.txt"
-        feat_rel = f"features/{seq.id}.npy"
-        write_label_file(out / label_rel, seq, corpus.vocab)
-        write_features(out / feat_rel, feats)
-        entries.append({"id": seq.id, "activity": seq.activity,
-                        "labels": label_rel, "features": feat_rel})
-    manifest = {
-        "mapping": "mapping.txt",
-        "feature_dim": corpus.feature_dim,
-        "sequences": entries,
-    }
+        entry = ManifestEntry(seq.id, f"groundTruth/{seq.id}.txt", f"features/{seq.id}.npy",
+                              seq.activity)
+        write_label_file(out / entry.labels, seq, corpus.vocab)
+        write_features(out / entry.features, feats)
+        entries.append(entry)
     manifest_path = out / "manifest.json"
-    write_json(manifest_path, manifest)
+    write_json(manifest_path, asdict(Manifest("mapping.txt", corpus.feature_dim, tuple(entries))))
     return manifest_path
 
 
@@ -294,22 +288,18 @@ def parse_json(text: str | bytes):
 
 
 def read_json(path: str | Path) -> dict:
-    """A ``"version": 1`` JSON object of finite numbers; else one FormatError naming the file."""
+    """The keys other than ``"version": 1`` of a JSON object of finite numbers; else one
+    FormatError naming the file."""
     try:
         payload = parse_json(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
-    if type(payload.get("version")) is not int or payload["version"] != 1:
-        raise FormatError(f"{path}: unsupported or missing version {payload.get('version')!r}")
+    version = payload.pop("version", None)
+    if type(version) is not int or version != 1:
+        raise FormatError(f"{path}: unsupported or missing version {version!r}")
     return payload
-
-
-def check_keys(payload: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
 
 
 # File spellings of the dataclass fields that are not spelled as-is.
@@ -326,80 +316,95 @@ def typed(value, kind, ctx: str, key: str):
     A dataclass is read from an object by ``from_json``, ``dict[str, X]`` from an object of
     ``X`` values, ``tuple[X, ...]`` from an array of ``X`` values and ``X | None`` from
     ``null`` or an ``X``; nested objects extend ``ctx`` with the key they sit under.
+    ``MISSING`` stands for an absent key.
     """
-    origin = get_origin(kind)
+    if not isinstance(value, bool) and isinstance(value, JSON_TYPES.get(kind, ())):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
     if is_dataclass(kind) and isinstance(value, dict):
         return from_json(kind, value, f"{ctx}: {key}")
+    origin, args = get_origin(kind), get_args(kind)
     if origin is dict and isinstance(value, dict):
-        return {name: typed(item, get_args(kind)[1], f"{ctx}: {key}", name)
-                for name, item in value.items()}
+        return {name: typed(item, args[1], f"{ctx}: {key}", name) for name, item in value.items()}
     if origin is tuple and isinstance(value, list):
-        return tuple(typed(item, get_args(kind)[0], ctx, key) for item in value)
+        return tuple([typed(item, args[0], ctx, key) for item in value])
     if origin is UnionType:  # X | None
-        return None if value is None else typed(value, get_args(kind)[0], ctx, key)
-    if not isinstance(value, bool) and isinstance(value, JSON_TYPES.get(kind, ())):
-        with suppress(OverflowError):  # an integer beyond the float range
-            return kind(value)
-    raise ConfigError(f"{ctx}: bad value {value!r} for {key!r}")
+        return None if value is None else typed(value, args[0], ctx, key)
+    raise ConfigError(f"{ctx}: missing key {key!r}" if value is MISSING
+                      else f"{ctx}: bad value {value!r} for {key!r}")
 
 
-def get(section: dict, key: str, kind, ctx: str, default=None):
-    """``section[key]`` checked by ``typed``, or ``default`` when absent."""
-    return typed(section[key], kind, ctx, key) if key in section else default
+@cache
+def _schema(cls) -> dict:
+    """Each field of dataclass ``cls`` with its type, keyed by the field's JSON spelling."""
+    hints = get_type_hints(cls)
+    return {JSON_NAMES.get(f.name, f.name): (f, hints[f.name]) for f in fields(cls)}
 
 
 def from_json(cls, payload: dict, ctx: str, **given):
     """Build dataclass ``cls`` from a JSON object. Each field not in ``given`` is
-    read from its key (the ``JSON_NAMES`` spelling) as its annotated type; it is
-    required when it has no default or default factory, else keeps its default."""
-    hints = get_type_hints(cls)
-    names = {JSON_NAMES.get(f.name, f.name): f for f in fields(cls) if f.name not in given}
-    check_keys(payload, set(names), ctx)
-    for key, f in names.items():
-        if key in payload:
-            given[f.name] = typed(payload[key], hints[f.name], ctx, key)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{ctx}: missing key {key!r}")
+    read from its key (the ``JSON_NAMES`` spelling) as its annotated type."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{ctx}: expected a JSON object, got {payload!r}")
+    schema = _schema(cls)
+    unknown = payload.keys() - (schema.keys() - {JSON_NAMES.get(name, name) for name in given})
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
+    for key, (f, kind) in schema.items():  # a field without a default is required
+        if key in payload or (f.name not in given and f.default is MISSING
+                              and f.default_factory is MISSING):
+            given[f.name] = typed(payload.get(key, MISSING), kind, ctx, key)
     try:
         return cls(**given)
     except ConfigError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One sequence of a manifest: its id and its label and feature files."""
+
+    id: str
+    labels: str
+    features: str
+    activity: str = ""
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A corpus manifest; its file names are relative to the manifest's directory."""
+
+    mapping: str
+    feature_dim: int
+    sequences: tuple[ManifestEntry, ...]
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus described by a manifest written by :func:`write_corpus`."""
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    for key in ("mapping", "feature_dim", "sequences"):
-        if key not in manifest:
-            raise FormatError(f"{manifest_path}: missing manifest key {key!r}")
-    dim = manifest["feature_dim"]
-    if not (isinstance(manifest["mapping"], str) and type(dim) is int
-            and isinstance(manifest["sequences"], list)):
-        raise FormatError(f"{manifest_path}: 'mapping' must be a string, 'feature_dim' "
-                          f"an integer and 'sequences' an array")
+    try:
+        manifest = from_json(Manifest, read_json(manifest_path), f"{manifest_path}: manifest")
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
     root = manifest_path.parent
-    vocab = load_mapping(root / manifest["mapping"])
+    vocab = load_mapping(root / manifest.mapping)
     sequences, features = [], []
     seen: set[str] = set()
-    for entry in manifest["sequences"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("activity", ""), str)
-                and all(isinstance(entry.get(key), str) for key in ("id", "labels", "features"))):
-            raise FormatError(f"{manifest_path}: sequence entry {entry!r} needs string "
-                              f"'id', 'labels' and 'features', and a string 'activity' if any")
-        if entry["id"] in ("", ".", "..") or "/" in entry["id"] or "\\" in entry["id"]:
+    for entry in manifest.sequences:
+        if entry.id in ("", ".", "..") or "/" in entry.id or "\\" in entry.id:
             raise FormatError(f"{manifest_path}: sequence entry {entry!r}: 'id' must be a "
                               f"plain file name")
-        if entry["id"] in seen:
+        if entry.id in seen:
             raise FormatError(f"{manifest_path}: sequence entry {entry!r} repeats id "
-                              f"{entry['id']!r}")
-        seen.add(entry["id"])
-        seq = load_label_file(root / entry["labels"], vocab,
-                              activity=entry.get("activity", ""),
-                              seq_id=entry["id"])
-        feats = load_features(root / entry["features"], dim)
+                              f"{entry.id!r}")
+        seen.add(entry.id)
+        seq = load_label_file(root / entry.labels, vocab, activity=entry.activity,
+                              seq_id=entry.id)
+        feats = load_features(root / entry.features, manifest.feature_dim)
         if feats.num_frames != seq.num_frames:
-            raise FormatError(f"{entry['id']}: labels have {seq.num_frames} frames "
+            raise FormatError(f"{entry.id}: labels have {seq.num_frames} frames "
                               f"but features have {feats.num_frames}")
         sequences.append(seq)
         features.append(feats)

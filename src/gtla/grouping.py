@@ -9,7 +9,7 @@ distributions under a symmetric KL distance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -229,9 +229,8 @@ def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> Non
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
     """A :func:`save_group_spec` file, typed by ``GroupSpec``'s fields; else one FormatError."""
     payload, ctx = read_json(path), f"{path}: group spec"
-    del payload["version"]
     try:
-        names = typed(payload.pop("classes_of_group", None), tuple[tuple[str, ...], ...],
+        names = typed(payload.pop("classes_of_group", MISSING), tuple[tuple[str, ...], ...],
                       ctx, "classes_of_group")
         for k, cls in enumerate(names):
             for i, name in enumerate(cls):

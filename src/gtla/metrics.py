@@ -232,9 +232,9 @@ def fp_taxonomy(pred: SegmentTable, matched: np.ndarray, sequences: Sequence[Fra
     for s in np.flatnonzero(np.bincount(pred.seq[rows])).tolist():
         part = rows[pred.seq[rows] == s]
         k = int(groups[s])
-        lo, hi = bounds_matrix(relabel_for_group(sequences[s], spec, k), prior.groups[k])
-        midpoint, cs = (pred.start[part] + pred.end[part]) // 2, c[part]
-        fp2 += int(np.count_nonzero((midpoint < lo[cs]) | (midpoint > hi[cs])))
+        lo, hi = bounds_matrix(relabel_for_group(sequences[s], spec, k), prior.groups[k], c[part])
+        midpoint = (pred.start[part] + pred.end[part]) // 2
+        fp2 += int(np.count_nonzero((midpoint < lo) | (midpoint > hi)))
     return {"tp": int(matched.sum()), "fp1": int(np.count_nonzero(~matched & ~member)),
             "fp2": fp2, "fp3": rows.size - fp2}
 

@@ -3,9 +3,9 @@
 The network is a 1x1 input convolution followed by K residual blocks
 (width-3 dilated convolution with dilation 2^l, ReLU, 1x1 projection,
 dropout, residual add) and one linear classifier per group. It computes in
-the parameter buffer's dtype (float32 once trained or loaded) on features in
-the Fortran order of a loaded file; forward keeps a tape of intermediates so
-backward can produce exact gradients for every parameter.
+the parameter buffer's dtype (float32 unless a caller asks for another) on
+features in the Fortran order of a loaded file; forward keeps a tape of
+intermediates so backward can produce exact gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class FlatTensors(dict):
     view (``t[name][...] = x``), since rebinding a name detaches it."""
 
     def __init__(self, cfg: BackboneConfig, tensors: dict[str, np.ndarray] | None = None,
-                 dtype=np.float64):
+                 dtype=np.float32):
         self.layout = _layout(cfg)
         self.flat = np.zeros(self.layout[-1][2].stop, dtype)
         super().__init__((name, self.flat[span].reshape(shape))
@@ -82,14 +82,14 @@ class ModelParams:
 
     cfg: BackboneConfig
     values: dict[str, np.ndarray] | None
-    dtype: InitVar[type] = np.float64
+    dtype: InitVar[type] = np.float32
 
     def __post_init__(self, dtype):
         self.values = FlatTensors(self.cfg, self.values, dtype)
 
 
 def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None,
-                dtype=np.float64) -> ModelParams:
+                dtype=np.float32) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws in float64, stored in ``dtype``."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     fan_in = {"in": cfg.in_dim, "dilated": 3 * cfg.hidden, "proj": cfg.hidden,
@@ -224,7 +224,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam moments ``m`` and ``v`` laid out like the parameters, and the step count."""
 
-    def __init__(self, cfg: BackboneConfig, t: int = 0, dtype=np.float64):
+    def __init__(self, cfg: BackboneConfig, t: int = 0, dtype=np.float32):
         self.m, self.v, self.t = FlatTensors(cfg, dtype=dtype), FlatTensors(cfg, dtype=dtype), t
         self._scratch = np.empty((2, self.m.flat.size), dtype)
 
@@ -278,7 +278,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
             layers = typed(config.pop("num_layers"), int, "header: config", "num_layers")
             cfg = from_json(BackboneConfig, config, "header: config", num_layers=layers)
             adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
-            params, adam = ModelParams(cfg, None, np.float32), AdamState(cfg, adam_t, np.float32)
+            params, adam = ModelParams(cfg, None), AdamState(cfg, adam_t)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
                 if (stored := npz[name]).shape != flat.shape:  # it would broadcast
                     raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
-from .data.io import check_keys, read_json, typed, write_json
+from .data.io import from_json, read_json, write_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -113,8 +113,9 @@ def extract_priors(train: Corpus, spec: GroupSpec) -> TemporalPrior:
     return TemporalPrior(tuple(groups))
 
 
-def bounds_matrix(labels: np.ndarray, prior: GroupPrior) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class frame windows [lo[c], hi[c]] (inclusive) where c may be adjusted.
+def bounds_matrix(labels: np.ndarray, prior: GroupPrior,
+                  classes: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Frame windows [lo[c], hi[c]] (inclusive) where each c of ``classes`` may be adjusted.
 
     lo is the last frame whose label must precede c, hi the first frame
     whose label must follow c. An empty ordering set, or one whose classes
@@ -122,8 +123,8 @@ def bounds_matrix(labels: np.ndarray, prior: GroupPrior) -> tuple[np.ndarray, np
     ``others`` frames never bound a window.
     """
     t = np.arange(len(labels))
-    lo = np.where(prior.order_tables[0][:, labels], t, 0).max(axis=1, initial=0)
-    hi = np.where(prior.order_tables[1][:, labels], t, t.size).min(axis=1, initial=t.size)
+    lo = np.where(prior.order_tables[0, classes][:, labels], t, 0).max(axis=1, initial=0)
+    hi = np.where(prior.order_tables[1, classes][:, labels], t, t.size).min(axis=1, initial=t.size)
     return lo, hi
 
 
@@ -168,14 +169,16 @@ class _GroupPriorEntry:  # one group of a priors file, keyed by class name
     must_follow: dict[str, tuple[str, ...]]
 
 
+@dataclass(frozen=True)
+class _PriorsFile:
+    groups: tuple[_GroupPriorEntry, ...]
+
+
 def load_temporal_prior(path: str | Path, spec: GroupSpec,
                         vocab: ClassVocab) -> TemporalPrior:
     """Priors as :func:`save_temporal_prior` wrote them; bad content is one FormatError."""
-    payload = read_json(path)
     try:
-        check_keys(payload, {"version", "groups"}, f"{path}: temporal prior")
-        entries = typed(payload.get("groups"), tuple[_GroupPriorEntry, ...],
-                        f"{path}: temporal prior", "groups")
+        entries = from_json(_PriorsFile, read_json(path), f"{path}: temporal prior").groups
         groups = []
         for entry, classes in zip(entries, spec.classes_of_group, strict=True):
             names = [vocab.name_of(g) for g in classes]

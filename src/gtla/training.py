@@ -8,12 +8,13 @@ reproducible and ablations differ only in the intended factor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import Corpus
-from .errors import FormatError, TrainingError
+from .data.io import from_json
+from .errors import ConfigError, FormatError, TrainingError
 from .grouping import GroupSpec, relabel_for_group
 from .losses import TrainConfig, total_loss
 from .model import (
@@ -38,6 +39,16 @@ def _substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAMS[name],)))
 
 
+@dataclass(frozen=True)
+class SavedState:
+    """The ``train_state`` of a checkpoint header: generator states, epochs and losses."""
+
+    dropout: dict
+    order: dict
+    epoch: int
+    history: tuple[float, ...]
+
+
 @dataclass
 class TrainState:
     params: ModelParams
@@ -52,28 +63,24 @@ class TrainState:
         self.grads = FlatTensors(self.params.cfg, dtype=self.params.values.flat.dtype)
 
     def rng_payload(self) -> dict:
-        return {
-            "dropout": self.dropout_rng.bit_generator.state,
-            "order": self.order_rng.bit_generator.state,
-            "epoch": self.epoch,
-            "history": self.history,
-        }
+        return asdict(SavedState(self.dropout_rng.bit_generator.state,
+                                 self.order_rng.bit_generator.state, self.epoch,
+                                 tuple(self.history)))
 
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":
-        """The state ``rng_payload`` recorded; each of its four keys is required."""
-        if not isinstance(payload, dict) or not {"dropout", "order", "epoch",
-                                                 "history"} <= payload.keys():
-            raise FormatError("train_state needs 'dropout', 'order', 'epoch' and 'history'")
-        epoch, history = payload["epoch"], payload["history"]
-        if type(epoch) is not int or not isinstance(history, list) or not all(
-                type(x) is int or type(x) is float and np.isfinite(x) for x in history):
-            raise FormatError("train_state needs an int 'epoch' and finite numbers as 'history'")
+        """The state ``rng_payload`` recorded, read as a :class:`SavedState`."""
+        try:
+            saved = from_json(SavedState, payload, "train_state")
+        except ConfigError as exc:
+            raise FormatError(str(exc)) from exc
+        if not np.isfinite(saved.history).all():
+            raise FormatError("train_state needs finite numbers as 'history'")
         state = TrainState(params, adam, np.random.default_rng(0), np.random.default_rng(0),
-                           epoch=epoch, history=list(history))
+                           epoch=saved.epoch, history=list(saved.history))
         try:
             for key, rng in (("dropout", state.dropout_rng), ("order", state.order_rng)):
-                rng.bit_generator.state = payload[key]
+                rng.bit_generator.state = getattr(saved, key)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"train_state: {key!r} is not a bit generator state "
                               f"({type(exc).__name__}: {exc})") from exc
@@ -81,9 +88,9 @@ class TrainState:
 
 
 def init_train_state(train_cfg: TrainConfig, backbone: BackboneConfig) -> TrainState:
-    return TrainState(init_params(backbone, _substream(train_cfg.seed, "init"), np.float32),
-                      AdamState(backbone, dtype=np.float32), _substream(train_cfg.seed, "dropout"),
-                      _substream(train_cfg.seed, "order"))  # float32: what a checkpoint stores
+    return TrainState(init_params(backbone, _substream(train_cfg.seed, "init")),
+                      AdamState(backbone), _substream(train_cfg.seed, "dropout"),
+                      _substream(train_cfg.seed, "order"))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # adam_step or the check below reports it

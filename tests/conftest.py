@@ -70,7 +70,7 @@ def tiny_problem(rng, max_dim=4, max_frames=12, max_hidden=8, max_layers=2,
         head_sizes=spec.head_sizes(),
         seed=int(rng.integers(0, 2 ** 31)),
     )
-    params = gtla.init_params(backbone)
+    params = gtla.init_params(backbone, dtype=np.float64)
     return corpus, spec, prior, params
 
 
@@ -81,7 +81,7 @@ def logit_params(head_sizes):
     dim = sum(head_sizes)
     cfg = gtla.BackboneConfig(in_dim=dim, hidden=dim, num_layers=1,
                               head_sizes=tuple(head_sizes))
-    params = gtla.ModelParams(cfg, None)
+    params = gtla.ModelParams(cfg, None, np.float64)
     params.values["in.w"][...] = np.eye(dim)
     for i, start in enumerate(np.cumsum((0,) + tuple(head_sizes[:-1]))):
         params.values[f"head{i}.w"][start:start + head_sizes[i]] = np.eye(head_sizes[i])

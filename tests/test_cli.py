@@ -578,8 +578,9 @@ class TestCheckpointFiles:
         lambda extra: extra["train_state"]["dropout"]["state"].update(state=-1),
         lambda extra: extra.pop("train_state"),
         lambda extra: extra["train_state"].pop("epoch"),
+        lambda extra: extra["train_state"].update(epochs=1),
     ], ids=["dropout-int", "history-int", "history-str-item", "epoch-str", "order-empty",
-            "order-no-state", "dropout-negative", "no-train-state", "no-epoch"])
+            "order-no-state", "dropout-negative", "no-train-state", "no-epoch", "unknown-key"])
     def test_malformed_train_state_is_one_error_line(self, tmp_path, capsys, edit):
         out = run_pipeline(tmp_path, "w", epochs=1)
         ckpt = out / "run" / "checkpoint.ckpt"
@@ -715,11 +716,12 @@ class TestRunConfigSchema:
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
         ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", 10 ** 400),
+        ("groups", "linkage", "bogus"),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
-            "mode-flag-spelling", "lr-negative", "tau-401-digits"])
+            "mode-flag-spelling", "lr-negative", "tau-401-digits", "linkage-bogus"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":

@@ -403,22 +403,42 @@ class TestCorpusIO:
 
     def test_manifest_missing_key(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"version": 1}')
-        with pytest.raises(FormatError, match="missing manifest key"):
+        with pytest.raises(FormatError, match=r"manifest\.json: manifest: missing key 'mapping'"):
             data.load_corpus(tmp_path / "manifest.json")
 
     @staticmethod
-    def load_with_entry(tmp_path, **changes):
-        """Load a written corpus after ``changes`` to its second manifest entry."""
+    def load_edited(tmp_path, edit):
+        """Load a written corpus after ``edit`` of its manifest's payload."""
         train, _ = data.synth_generate(tiny_cfg(seed=9))
         manifest = data.write_corpus(train, tmp_path)
         payload = data.io.read_json(manifest)
-        payload["sequences"][1].update(changes)
+        edit(payload)
         data.io.write_json(manifest, payload)
         return data.load_corpus(manifest)
 
+    def load_with_entry(self, tmp_path, **changes):
+        """Load a written corpus after ``changes`` to its second manifest entry."""
+        return self.load_edited(tmp_path, lambda m: m["sequences"][1].update(changes))
+
     def test_non_string_activity_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match=r"manifest\.json: sequence entry .*'activity': 5"):
+        with pytest.raises(FormatError, match=r"manifest\.json: manifest: sequences: bad value 5 "
+                                              r"for 'activity'$"):
             self.load_with_entry(tmp_path, activity=5)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(feature_dim="8"), r"manifest: bad value '8' for 'feature_dim'$"),
+        (lambda m: m.update(feature_dim=True), r"manifest: bad value True for 'feature_dim'$"),
+        (lambda m: m.update(sequences={}), r"manifest: bad value \{\} for 'sequences'$"),
+        (lambda m: m.update(labels="x"), r"manifest: unknown key\(s\) \['labels'\]$"),
+        (lambda m: m["sequences"][0].update(activty="x"),
+         r"manifest: sequences: unknown key\(s\) \['activty'\]$"),
+        (lambda m: m["sequences"][0].pop("features"),
+         r"manifest: sequences: missing key 'features'$"),
+    ], ids=["dim-str", "dim-bool", "sequences-object", "unknown-key", "unknown-entry-key",
+            "entry-without-features"])
+    def test_manifest_is_read_by_its_schema(self, tmp_path, edit, message):
+        with pytest.raises(FormatError, match=r"manifest\.json: " + message):
+            self.load_edited(tmp_path, edit)
 
     @pytest.mark.parametrize("seq_id", ["", ".", "..", "../../escaped", "a/b", "a\\b"])
     def test_id_must_be_a_plain_file_name(self, tmp_path, seq_id):
@@ -470,7 +490,7 @@ def test_write_json_refuses_what_read_json_would(tmp_path, value):
 
 def test_write_json_writes_the_version_read_json_checks(tmp_path):
     data.io.write_json(tmp_path / "out.json", {"a": 1})
-    assert data.io.read_json(tmp_path / "out.json") == {"a": 1, "version": 1}
+    assert data.io.read_json(tmp_path / "out.json") == {"a": 1}  # the version checked, dropped
 
 
 def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
@@ -478,4 +498,4 @@ def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path):
     data.io.write_json(path, {"version": 1, "b": 1, "a": [2.5, "é"]})
     assert path.read_bytes() == (b'{\n  "a": [\n    2.5,\n    "\\u00e9"\n  ],\n  "b": 1,\n'
                                  b'  "version": 1\n}\n')
-    assert data.io.read_json(path) == {"a": [2.5, "é"], "b": 1, "version": 1}
+    assert data.io.read_json(path) == {"a": [2.5, "é"], "b": 1}

@@ -138,7 +138,7 @@ def backbone(dropout, seed=7):
 def test_forward_and_backward_match_padding_reference(dropout, frames):
     # With num_layers=3 the largest dilation d is 4: frames 4, 5 and 8 are T = d,
     # T = d + 1 and T = 2d, the edges of backward's shifted d_in adds.
-    params = gtla.init_params(backbone(dropout))
+    params = gtla.init_params(backbone(dropout), dtype=np.float64)
     data = np.random.default_rng(frames)
     x = data.standard_normal((5, frames))
     out = gtla.forward(x, params, dropout_rng=np.random.default_rng(1))
@@ -235,8 +235,8 @@ def test_adam_matches_per_tensor_reference_over_five_steps(rng):
 def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
     """A float32 state saved and loaded is the same state: the reference continues
     from the loaded moments in float32 and the loaded state keeps its buffers."""
-    params = gtla.init_params(backbone(0.0), dtype=np.float32)
-    state = gtla.AdamState(params.cfg, dtype=np.float32)
+    params = gtla.init_params(backbone(0.0))
+    state = gtla.AdamState(params.cfg)
     steps = [random_grads(params, rng) for _ in range(3)]
     gtla.adam_step(params, steps[0], state)
     model.save_checkpoint(tmp_path / "c.ckpt", params, step=1, adam=state)
@@ -245,7 +245,7 @@ def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
     for saved, moment in ((params.values, loaded.values), (state.m, adam.m), (state.v, adam.v)):
         assert isinstance(moment, model.FlatTensors) and moment.flat.dtype == np.float32
         assert_tensors_equal(moment, saved)
-    ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values, np.float32), ref_state(adam)
+    ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values), ref_state(adam)
     buffers = (adam.m.flat, adam.v.flat)
     for grads in steps[1:]:
         gtla.adam_step(loaded, grads, adam)

@@ -122,7 +122,7 @@ def test_single_logit_bias_gradient_is_one(rng):
 
 def test_backward_matches_finite_differences_on_ce(rng):
     cfg = small_config(groups=(3, 4), hidden=6, layers=2, dim=3, seed=11)
-    params = gtla.init_params(cfg)
+    params = gtla.init_params(cfg, dtype=np.float64)
     x = rng.standard_normal((3, 10))
     labels = rng.integers(0, 3, size=10)
 
@@ -165,7 +165,7 @@ def test_float32_backward_matches_float64_backward(seed):
     net = dataclasses.replace(params.cfg, dropout=0.3)
     cfg = losses.TrainConfig(method="gtla")
     single = gtla.ModelParams(net, params.values, np.float32)
-    double = gtla.ModelParams(net, single.values)
+    double = gtla.ModelParams(net, single.values, np.float64)
     for i, (seq, feats) in enumerate(corpus):
         k = spec.group_of(seq)
         local = gtla.relabel_for_group(seq, spec, k)
@@ -247,6 +247,15 @@ def test_checkpoint_roundtrip(tmp_path, rng):
         # float32 storage: exact after one float32 round trip
         assert np.array_equal(loaded.values[name],
                               params.values[name].astype(np.float32).astype(np.float64))
+
+
+def test_copying_a_loaded_model_keeps_float32(tmp_path):
+    """``ModelParams(p.cfg, p.values)`` copies a loaded model without widening it."""
+    model.save_checkpoint(tmp_path / "c.ckpt", gtla.init_params(small_config()))
+    loaded, _, _ = model.load_checkpoint(tmp_path / "c.ckpt")
+    copy = gtla.ModelParams(loaded.cfg, loaded.values)
+    assert copy.values.flat.dtype == np.float32
+    assert np.array_equal(copy.values.flat, loaded.values.flat)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -355,8 +364,8 @@ def test_save_checkpoint_refuses_a_non_finite_header_value_before_writing(tmp_pa
 
 @pytest.mark.parametrize("member, value", [("params", np.inf), ("m", 1e39), ("v", np.nan)])
 def test_save_checkpoint_refuses_a_buffer_not_finite_in_float32(tmp_path, member, value):
-    cfg = small_config()
-    params, adam = gtla.init_params(cfg), gtla.AdamState(cfg)
+    cfg = small_config()  # float64 buffers: 1e39 is finite there
+    params, adam = gtla.init_params(cfg, dtype=np.float64), gtla.AdamState(cfg, dtype=np.float64)
     {"params": params.values, "m": adam.m, "v": adam.v}[member].flat[3] = value
     path = tmp_path / "model.ckpt"
     with pytest.raises(TrainingError, match=f"'{member}' has values that are not finite"):

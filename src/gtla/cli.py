@@ -102,15 +102,17 @@ def cmd_train(args) -> int:
     data_section = from_json(DataSection, run.data, "data section")
     corpus = data.load_corpus(root / data_section.train_manifest)
 
-    seed = args.seed if args.seed is not None else run.seed
-    if seed is None:
+    if args.seed is None and run.seed is None:
         raise ConfigError("run config: a seed is required (field or --seed)")
-    train_cfg = from_json(losses.TrainConfig, run.train, "train section", seed=seed)
+    train_cfg = from_json(losses.TrainConfig, run.train, "train section")
+    if run.seed is not None:
+        train_cfg = from_json(losses.TrainConfig, {**train_cfg.to_dict(), "seed": run.seed},
+                              "run config")
     for f in fields(train_cfg):  # one flag at a time, so an error names its flag
         if (value := getattr(args, f.name, None)) is not None:
-            flag = f"--{JSON_NAMES.get(f.name, f.name)} {value}"
-            train_cfg = from_json(losses.TrainConfig, {}, flag,
-                                   **{**train_cfg.to_dict(), f.name: value})
+            key = JSON_NAMES.get(f.name, f.name)
+            train_cfg = from_json(losses.TrainConfig, {**train_cfg.to_dict(), key: value},
+                                  f"--{key} {value}")
 
     out = Path(args.out or run.out or "run")
 
@@ -136,19 +138,19 @@ def cmd_train(args) -> int:
         prior = priors.extract_priors(corpus, spec)
 
     backbone = from_json(model.BackboneConfig, run.backbone, "backbone section",
-                         in_dim=corpus.feature_dim, head_sizes=spec.head_sizes(), seed=seed)
+                         in_dim=corpus.feature_dim, head_sizes=spec.head_sizes(),
+                         seed=train_cfg.seed)
 
     if args.resume:
         params, adam, extra = model.load_checkpoint(args.resume)
         if params.cfg != backbone:
             raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
                               f"from the run config's {backbone}")
-        recorded = extra.get("train_config")
-        if not isinstance(recorded, dict):
-            raise FormatError(f"{args.resume}: the checkpoint records no train_config object")
-        changed = [f"{key} {recorded.get(key)!r} -> {value!r}"
+        recorded = from_json(losses.TrainConfig, extra.get("train_config"),
+                             f"{args.resume}: train_config").to_dict()
+        changed = [f"{key} {recorded[key]!r} -> {value!r}"
                    for key, value in train_cfg.to_dict().items()
-                   if key != "epochs" and recorded.get(key) != value]
+                   if key != "epochs" and recorded[key] != value]
         if changed:
             raise ConfigError(f"--resume: the run's train config differs from the "
                               f"checkpoint's in {', '.join(changed)}")

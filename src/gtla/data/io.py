@@ -264,7 +264,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         write_features(out / entry.features, feats)
         entries.append(entry)
     manifest_path = out / "manifest.json"
-    write_json(manifest_path, asdict(Manifest("mapping.txt", corpus.feature_dim, tuple(entries))))
+    write_json(manifest_path, to_json(Manifest("mapping.txt", corpus.feature_dim, tuple(entries))))
     return manifest_path
 
 
@@ -303,7 +303,13 @@ def read_json(path: str | Path) -> dict:
 
 
 # File spellings of the dataclass fields that are not spelled as-is.
-JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers"}
+JSON_NAMES = {"smooth_weight": "lambda", "smooth_clip": "delta", "num_layers": "layers",
+              "global_metrics": "global", "fp_counts": "fp_taxonomy"}
+
+
+def to_json(obj) -> dict:
+    """Dataclass ``obj`` as :func:`from_json` reads it, each field spelled by ``JSON_NAMES``."""
+    return asdict(obj, dict_factory=lambda items: {JSON_NAMES.get(k, k): v for k, v in items})
 
 
 # JSON value types accepted for each scalar field type; bool is never a number.

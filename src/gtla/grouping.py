@@ -9,13 +9,13 @@ distributions under a symmetric KL distance.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq
-from .data.io import from_json, read_json, typed, write_json
+from .data.io import from_json, read_json, to_json, typed, write_json
 from .errors import ConfigError, FormatError
 
 KL_FLOOR = 1e-8
@@ -139,8 +139,8 @@ class GroupSpec:
     group_weights: tuple[float, ...]
     group_of_activity: dict[str, int] = field(default_factory=dict)
     group_of_sequence: dict[str, int] = field(default_factory=dict)
-    # Per-group mean frequency vectors; diagnostics only, inference never
-    # clusters unseen sequences.
+    # Per-group mean frequency vectors: the reference group of an unseen sequence
+    # in evaluation (nearest_group); inference never reads them.
     centroids: tuple[tuple[float, ...], ...] | None = None
 
     def num_real_classes(self, k: int) -> int:
@@ -159,11 +159,12 @@ class GroupSpec:
             return self.group_of_activity[seq.activity]
         if seq.id not in self.group_of_sequence:
             raise ConfigError(f"sequence {seq.id!r} was not clustered; "
-                              "use nearest_group for diagnostics")
+                              "nearest_group gives an unseen sequence's reference group")
         return self.group_of_sequence[seq.id]
 
     def nearest_group(self, seq: FrameSeq, vocab: ClassVocab) -> int:
-        """Diagnostic nearest-centroid assignment for unseen sequences."""
+        """The group evaluation scores an unseen sequence in (its group-id accuracy and FP
+        taxonomy): the nearest centroid in cluster mode, else ``group_of``."""
         if self.centroids is None:
             return self.group_of(seq)
         q = action_frequency(seq, vocab)
@@ -222,7 +223,7 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpe
 
 
 def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> None:
-    write_json(path, {**asdict(spec), "classes_of_group": [[vocab.name_of(c) for c in cls]
+    write_json(path, {**to_json(spec), "classes_of_group": [[vocab.name_of(c) for c in cls]
                                                            for cls in spec.classes_of_group]})
 
 

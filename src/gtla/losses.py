@@ -8,10 +8,11 @@ decodes unadjusted probabilities.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data.io import to_json
 from .errors import ConfigError
 from .grouping import GroupSpec
 from .priors import GroupPrior, TemporalPrior, clamped_log, temporal_factor_matrix
@@ -38,11 +39,12 @@ class TrainConfig:
             if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
                 raise ConfigError(f"{name} must be finite and {'>' if positive else '>='} 0, "
                                   f"got {value!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs!r}")
+        for name, least in (("epochs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return to_json(self)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Corpus, FrameSeq, Segment
-from .data.io import SegmentTable, segment_table, write_json
+from .data.io import SegmentTable, segment_table, to_json, write_json
 from .grouping import GroupSpec, relabel_for_group
 from .inference import Prediction
 from .priors import TemporalPrior, bounds_matrix
@@ -248,32 +248,27 @@ def group_id_accuracy(pred_groups: Sequence[int], gt_groups: Sequence[int]) -> f
     return 100.0 * hits / len(gt_groups)
 
 
+@dataclass(frozen=True)
+class HeadTailClasses:  # a report's head and tail class names and the split behind them
+    head: tuple[str, ...]
+    tail: tuple[str, ...]
+    imbalance_ratio: float
+    threshold: float
+
+
 @dataclass
 class MetricsReport:
+    """The metrics of one evaluation, laid out as ``report.json`` holds them."""
+
     global_metrics: dict[str, float]
     balanced: dict[str, dict[str, float]]
     fp_counts: dict[str, int]
     group_id_accuracy: float
-    head_classes: list[str]
-    tail_classes: list[str]
-    imbalance_ratio: float
-    split_threshold: float
+    head_tail: HeadTailClasses
     per_class: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "global": self.global_metrics,
-            "balanced": self.balanced,
-            "fp_taxonomy": self.fp_counts,
-            "group_id_accuracy": self.group_id_accuracy,
-            "head_tail": {
-                "head": self.head_classes,
-                "tail": self.tail_classes,
-                "imbalance_ratio": self.imbalance_ratio,
-                "threshold": self.split_threshold,
-            },
-            "per_class": self.per_class,
-        }
+        return to_json(self)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
@@ -349,9 +344,8 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         balanced=balanced,
         fp_counts=fp_counts,
         group_id_accuracy=gid,
-        head_classes=sorted(vocab.name_of(c) for c in split.head),
-        tail_classes=sorted(vocab.name_of(c) for c in split.tail),
-        imbalance_ratio=split.imbalance_ratio,
-        split_threshold=split.threshold,
+        head_tail=HeadTailClasses(tuple(sorted(vocab.name_of(c) for c in split.head)),
+                                  tuple(sorted(vocab.name_of(c) for c in split.tail)),
+                                  split.imbalance_ratio, split.threshold),
         per_class=per_class,
     )

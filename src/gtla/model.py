@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureMatrix
-from .data.io import from_json, parse_json, typed
+from .data.io import from_json, parse_json, to_json, typed
 from .errors import ConfigError, FormatError, TrainingError
 
 
@@ -33,9 +33,9 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("in_dim", "hidden", "num_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, least in (("in_dim", 1), ("hidden", 1), ("num_layers", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if not self.head_sizes or any(h < 2 for h in self.head_sizes):
@@ -252,7 +252,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
     """An uncompressed ``.npz`` of a JSON ``header`` (0-d bytes) and the flat ``params``,
     ``m`` and ``v`` buffers as float32; each member has a CRC-32, the bytes no timestamp."""
     adam = adam if adam is not None else AdamState(params.cfg)
-    header = {"version": 2, "config": asdict(params.cfg), "step": step,
+    header = {"version": 3, "config": to_json(params.cfg), "step": step,
               "adam_t": adam.t, "extra": extra or {}}
     text = json.dumps(header, sort_keys=True, allow_nan=False)  # a NaN raises ValueError here
     with np.errstate(over="ignore"):  # an overflowing cast gives inf, refused below
@@ -271,12 +271,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
         try:
             npz = np.lib.npyio.NpzFile(fh)
             header = parse_json(npz["header"].item())
-            if header["version"] != 2:
-                raise ValueError(f"header version {header['version']!r}, not 2")
-            # The header spells every field as-is; config files spell num_layers "layers".
-            config = dict(header["config"])
-            layers = typed(config.pop("num_layers"), int, "header: config", "num_layers")
-            cfg = from_json(BackboneConfig, config, "header: config", num_layers=layers)
+            if header["version"] != 3:
+                raise ValueError(f"header version {header['version']!r}, not 3")
+            cfg = from_json(BackboneConfig, header["config"], "header: config")
             adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
             params, adam = ModelParams(cfg, None), AdamState(cfg, adam_t)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):

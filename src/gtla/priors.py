@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import ClassVocab, Corpus, FrameSeq, segment_labels
-from .data.io import from_json, read_json, write_json
+from .data.io import from_json, read_json, to_json, write_json
 from .errors import ConfigError, FormatError
 from .grouping import GroupSpec, relabel_for_group
 
@@ -152,14 +152,10 @@ def save_temporal_prior(path: str | Path, prior: TemporalPrior, spec: GroupSpec,
     groups = []
     for k, gp in enumerate(prior.groups):
         names = [vocab.name_of(g) for g in spec.classes_of_group[k]]
-        groups.append({
-            "prior": {names[c]: float(p) for c, p in enumerate(gp.prior)},
-            "must_precede": {names[c]: sorted(names[x] for x in gp.must_precede[c])
-                             for c in range(gp.num_classes)},
-            "must_follow": {names[c]: sorted(names[x] for x in gp.must_follow[c])
-                            for c in range(gp.num_classes)},
-        })
-    write_json(path, {"groups": groups})
+        ordering = ({name: tuple(sorted(names[x] for x in sets[c])) for c, name in enumerate(names)}
+                    for sets in (gp.must_precede, gp.must_follow))
+        groups.append(_GroupPriorEntry(dict(zip(names, gp.prior.tolist())), *ordering))
+    write_json(path, to_json(_PriorsFile(tuple(groups))))
 
 
 @dataclass(frozen=True)

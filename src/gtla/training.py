@@ -8,12 +8,12 @@ reproducible and ablations differ only in the intended factor.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Corpus
-from .data.io import from_json
+from .data.io import from_json, to_json
 from .errors import ConfigError, FormatError, TrainingError
 from .grouping import GroupSpec, relabel_for_group
 from .losses import TrainConfig, total_loss
@@ -63,9 +63,9 @@ class TrainState:
         self.grads = FlatTensors(self.params.cfg, dtype=self.params.values.flat.dtype)
 
     def rng_payload(self) -> dict:
-        return asdict(SavedState(self.dropout_rng.bit_generator.state,
-                                 self.order_rng.bit_generator.state, self.epoch,
-                                 tuple(self.history)))
+        return to_json(SavedState(self.dropout_rng.bit_generator.state,
+                                  self.order_rng.bit_generator.state, self.epoch,
+                                  tuple(self.history)))
 
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":

@@ -364,7 +364,7 @@ class TestTrainEvalReport:
         assert log["train_config"]["method"] == "la"
         assert log["train_config"]["tau"] == 0.3
         assert log["train_config"]["eta"] == 0.1
-        assert log["train_config"]["smooth_weight"] == 0.1
+        assert log["train_config"]["lambda"] == 0.1
 
     def test_run_config_unknown_key_rejected(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)
@@ -609,8 +609,23 @@ class TestCheckpointFiles:
         capsys.readouterr()
         assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
                     "--epochs", "2", "--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err == (f"error: {ckpt}: the checkpoint records no "
-                                           f"train_config object\n")
+        assert capsys.readouterr().err == (f"error: {ckpt}: train_config: expected a JSON "
+                                           f"object, got None\n")
+        assert not (out / "r2").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("bogus", 1, "unknown key(s) ['bogus']"), ("tau", "0.5", "bad value '0.5' for 'tau'"),
+    ], ids=["unknown-key", "mistyped-value"])
+    def test_recorded_train_config_is_read_by_its_schema(self, tmp_path, capsys, key, value,
+                                                         message):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: header["extra"]["train_config"]
+                               .update({key: value}))
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: train_config: {message}\n"
         assert not (out / "r2").exists()
 
     @staticmethod
@@ -696,7 +711,7 @@ class TestRunConfigSchema:
         code, out = self.train_with(tmp_path, edit)
         assert code == 0
         logged = json.loads((out / "train_log.json").read_text())["train_config"]
-        assert logged["smooth_weight"] == 0.2 and logged["smooth_clip"] == 3.0
+        assert logged["lambda"] == 0.2 and logged["delta"] == 3.0
         params, _, _ = model.load_checkpoint(out / "checkpoint.ckpt")
         assert params.cfg.num_layers == 3
 
@@ -716,12 +731,13 @@ class TestRunConfigSchema:
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
         ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", 10 ** 400),
-        ("groups", "linkage", "bogus"),
+        ("groups", "linkage", "bogus"), (None, "seed", -1),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
-            "mode-flag-spelling", "lr-negative", "tau-401-digits", "linkage-bogus"])
+            "mode-flag-spelling", "lr-negative", "tau-401-digits", "linkage-bogus",
+            "seed-negative"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":
@@ -777,7 +793,7 @@ class TestBadFlagValues:
         ("train", "--groups", "cluster:999"), ("cluster", "--groups", "cluster:0"),
         ("cluster", "--groups", "cluster:999"), ("eval", "--head-threshold", "nan"),
         ("eval", "--head-threshold", "0"), ("eval", "--head-threshold", "-5"),
-        ("eval", "--head-threshold", "inf"),
+        ("eval", "--head-threshold", "inf"), ("train", "--seed", "-1"),
     ])
     def test_error_line_names_the_flag(self, pipeline, tmp_path, capsys, command, flag, value):
         dest = tmp_path / "out"
@@ -798,7 +814,8 @@ class TestBadFlagValues:
         ("--lambda", "nan", "--lambda nan: smooth_weight must be finite and >= 0, got nan"),
         ("--eta", "-1", "--eta -1.0: eta must be finite and >= 0, got -1.0"),
         ("--epochs", "0", "--epochs 0: epochs must be >= 1, got 0"),
-    ], ids=["tau", "lambda", "eta", "epochs"])
+        ("--seed", "-1", "--seed -1: seed must be >= 0, got -1"),
+    ], ids=["tau", "lambda", "eta", "epochs", "seed"])
     def test_train_error_names_only_the_failing_field(self, pipeline, tmp_path, capsys, flag,
                                                       value, message):
         argv = ["train", "--config", str(pipeline / "run.json"), "--out", str(tmp_path / "o")]

@@ -313,6 +313,7 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("changes", [
         {"method": "banana"}, {"tau": -0.1}, {"smooth_clip": 0.0}, {"lr": -0.5}, {"lr": 0.0},
+        {"seed": -1},
         *({name: value} for name in ("tau", "eta", "smooth_weight", "smooth_clip", "lr")
           for value in (np.inf, -np.inf, np.nan)),
     ], ids=lambda changes: ",".join(f"{k}={v}" for k, v in changes.items()))

@@ -241,10 +241,9 @@ def oracle_compute_report(predictions, dataset, spec, prior, split, gt_groups,
         balanced=balanced,
         fp_counts=fp_counts,
         group_id_accuracy=gid,
-        head_classes=sorted(vocab.name_of(c) for c in split.head),
-        tail_classes=sorted(vocab.name_of(c) for c in split.tail),
-        imbalance_ratio=split.imbalance_ratio,
-        split_threshold=split.threshold,
+        head_tail=metrics.HeadTailClasses(tuple(sorted(vocab.name_of(c) for c in split.head)),
+                                          tuple(sorted(vocab.name_of(c) for c in split.tail)),
+                                          split.imbalance_ratio, split.threshold),
         per_class=per_class,
     )
 
@@ -731,4 +730,4 @@ class TestComputeReport:
         report = gtla.compute_report(preds, test, spec, prior, split, gt_groups,
                                      exclude_classes=(idle,))
         assert "idle" not in report.per_class["recall"]
-        assert "idle" not in report.head_classes + report.tail_classes
+        assert "idle" not in report.head_tail.head + report.head_tail.tail

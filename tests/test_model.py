@@ -286,7 +286,7 @@ def test_checkpoint_is_an_uncompressed_npz_of_the_flat_buffers(tmp_path, rng):
     assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
     with np.load(path, allow_pickle=False) as npz:
         header = json.loads(npz["header"].item())
-        assert (header["version"], header["step"], header["adam_t"]) == (2, 1, 1)
+        assert (header["version"], header["step"], header["adam_t"]) == (3, 1, 1)
         for name, flat in (("params", params.values.flat), ("m", state.m.flat),
                            ("v", state.v.flat)):
             assert npz[name].dtype == np.float32
@@ -319,12 +319,12 @@ def test_checkpoint_member_of_wrong_shape_raises_format_error(tmp_path, rng, mem
         model.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 3, "2", None])
+@pytest.mark.parametrize("version", [1, 2, "3", None])
 def test_checkpoint_header_of_other_version_raises_format_error(tmp_path, rng, version):
     path = tmp_path / "model.ckpt"
     _stepped_checkpoint(path, rng)
     edit_checkpoint_header(path, lambda header: header.update(version=version))
-    with pytest.raises(FormatError, match=f"{path}.*header version {version!r}, not 2"):
+    with pytest.raises(FormatError, match=f"{path}.*header version {version!r}, not 3"):
         model.load_checkpoint(path)
 
 

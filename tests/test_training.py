@@ -1,10 +1,12 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gtla
-from gtla import losses, model, training
+from gtla import data, inference, losses, model, priors, training
+from gtla.data.io import from_json, parse_json, read_json, to_json
 from gtla.errors import FormatError
 
 
@@ -116,3 +118,27 @@ def test_restore_rejects_a_non_finite_history(value):
     payload = {**state.rng_payload(), "history": [1.5, value]}
     with pytest.raises(FormatError, match="finite numbers as .history."):
         training.TrainState.restore(state.params, state.adam, payload)
+
+
+def test_to_json_is_the_inverse_of_from_json(tmp_path):
+    """Each schema object gtla writes reads back equal from its JSON text (the text,
+    because a tuple is read back only from an array)."""
+    train, test, spec, prior, backbone, cfg = small_setup(epochs=1)
+    state = gtla.train_model(train, spec, prior, backbone, cfg)
+    manifest = read_json(data.write_corpus(train, tmp_path / "corpus"))
+    priors.save_temporal_prior(tmp_path / "priors.json", prior, spec, train.vocab)
+    predictions = [inference.predict_sequence(f, state.params, spec, s.id) for s, f in test]
+    report = gtla.compute_report(predictions, test, spec, prior, gtla.head_tail_split(train, 300),
+                                 [spec.group_of(s) for s in test.sequences])
+    saved = training.SavedState(state.dropout_rng.bit_generator.state,
+                                state.order_rng.bit_generator.state, state.epoch,
+                                tuple(state.history))
+    written = from_json(data.io.Manifest, manifest, "manifest")
+    for obj in (cfg, backbone, written, saved,
+                from_json(priors._PriorsFile, read_json(tmp_path / "priors.json"), "priors"),
+                report):
+        text = json.dumps(to_json(obj))
+        assert from_json(type(obj), parse_json(text), type(obj).__name__) == obj
+    assert json.loads(json.dumps(to_json(written))) == manifest  # the file is what to_json writes
+    assert {"lambda", "delta"} <= to_json(cfg).keys() and "layers" in to_json(backbone)
+    assert {"global", "fp_taxonomy", "head_tail"} <= to_json(report).keys()

@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
 
     if args.seed is None and run.seed is None:
         raise ConfigError("run config: a seed is required (field or --seed)")
-    train_cfg = from_json(losses.TrainConfig, run.train, "train section")
+    train_cfg = from_json(losses.TrainConfig, run.train, "train section", seed=0)
     if run.seed is not None:
         train_cfg = from_json(losses.TrainConfig, {**train_cfg.to_dict(), "seed": run.seed},
                               "run config")
@@ -146,18 +146,19 @@ def cmd_train(args) -> int:
         if params.cfg != backbone:
             raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
                               f"from the run config's {backbone}")
-        recorded = from_json(losses.TrainConfig, extra.get("train_config"),
-                             f"{args.resume}: train_config").to_dict()
-        changed = [f"{key} {recorded[key]!r} -> {value!r}"
-                   for key, value in train_cfg.to_dict().items()
-                   if key != "epochs" and recorded[key] != value]
+        payload = extra.get("train_config")
+        try:  # every key is required: a default must not stand in for an unrecorded value
+            recorded = from_json(losses.TrainConfig, payload, "train_config").to_dict()
+            if missing := sorted(recorded.keys() - payload.keys()):
+                raise FormatError(f"train_config: missing key(s) {missing}")
+            state = training.TrainState.restore(params, adam, extra.get("train_state"))
+        except (ConfigError, FormatError) as exc:
+            raise FormatError(f"{args.resume}: {exc}") from exc
+        changed = [f"{key} {recorded[key]!r} -> {value!r}" for key, value in
+                   train_cfg.to_dict().items() if key != "epochs" and recorded[key] != value]
         if changed:
             raise ConfigError(f"--resume: the run's train config differs from the "
                               f"checkpoint's in {', '.join(changed)}")
-        try:
-            state = training.TrainState.restore(params, adam, extra.get("train_state"))
-        except FormatError as exc:
-            raise FormatError(f"{args.resume}: {exc}") from exc
     else:
         state = training.init_train_state(train_cfg, backbone)
     out.mkdir(parents=True, exist_ok=True)

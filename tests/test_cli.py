@@ -628,6 +628,18 @@ class TestCheckpointFiles:
         assert capsys.readouterr().err == f"error: {ckpt}: train_config: {message}\n"
         assert not (out / "r2").exists()
 
+    def test_recorded_train_config_missing_a_key_is_refused(self, tmp_path, capsys):
+        """A recorded field is not filled in from its default: the run's default tau
+        must not pass for a tau the checkpoint never recorded."""
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: header["extra"]["train_config"].pop("tau"))
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: train_config: missing key(s) ['tau']\n"
+        assert not (out / "r2").exists()
+
     @staticmethod
     def overflowing_run(tmp_path, weight=1e25):
         """A ``run_pipeline`` directory whose spec weights one group by ``weight``: by
@@ -731,13 +743,13 @@ class TestRunConfigSchema:
         ("groups", "priors", 5), ("data", "train_manifest", 3), (None, "out", 5),
         (None, "train", 5), (None, "groups", "activity"), (None, "data", []),
         ("groups", "mode", "cluster:3"), ("train", "lr", -0.5), ("train", "tau", 10 ** 400),
-        ("groups", "linkage", "bogus"), (None, "seed", -1),
+        ("groups", "linkage", "bogus"), (None, "seed", -1), ("train", "seed", 3),
     ], ids=["tau-high", "tau-str", "epochs-float", "epochs-bool", "epochs-zero",
             "seed-float", "seed-str", "seed-bool", "n-float", "n-str", "n-bool",
             "mode-int", "linkage-int", "spec-int", "priors-int", "train_manifest-int",
             "out-int", "train-not-object", "groups-not-object", "data-not-object",
             "mode-flag-spelling", "lr-negative", "tau-401-digits", "linkage-bogus",
-            "seed-negative"])
+            "seed-negative", "seed-in-train-section"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, section, key, value):
         def edit(payload):
             if section == "groups":

@@ -28,9 +28,8 @@ for c in np.argsort(-counts):
 print(f"\nimbalance ratio (most / least frequent): {counts.max() / counts.min():.0f}")
 
 split = gtla.head_tail_split(train, 1000)
-print(f"head classes (>= 1000 frames): "
-      f"{sorted(train.vocab.name_of(c) for c in split.head)}")
-print(f"tail classes: {sorted(train.vocab.name_of(c) for c in split.tail)}")
+print(f"head classes (>= 1000 frames): {list(split.head)}")
+print(f"tail classes: {list(split.tail)}")
 
 seq = train.sequences[0]
 print(f"\nsequence {seq.id!r} ({seq.activity}, {seq.num_frames} frames):")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import data, grouping, inference, losses, metrics, model, priors, training
@@ -146,11 +146,9 @@ def cmd_train(args) -> int:
         if params.cfg != backbone:
             raise ConfigError(f"--resume: checkpoint backbone {params.cfg} differs "
                               f"from the run config's {backbone}")
-        payload = extra.get("train_config")
-        try:  # every key is required: a default must not stand in for an unrecorded value
-            recorded = from_json(losses.TrainConfig, payload, "train_config").to_dict()
-            if missing := sorted(recorded.keys() - payload.keys()):
-                raise FormatError(f"train_config: missing key(s) {missing}")
+        try:
+            recorded = from_json(losses.TrainConfig, extra.get("train_config"), "train_config",
+                                 every_key=True).to_dict()
             state = training.TrainState.restore(params, adam, extra.get("train_state"))
         except (ConfigError, FormatError) as exc:
             raise FormatError(f"{args.resume}: {exc}") from exc
@@ -203,9 +201,8 @@ def cmd_eval(args) -> int:
     predictions = inference.predict_corpus(params, dataset, spec)
     gt_groups = [spec.nearest_group(seq, dataset.vocab) for seq in dataset.sequences]
 
-    excluded = tuple(dataset.vocab.id_of(name) for name in args.exclude or ())
     report = metrics.compute_report(predictions, dataset, spec, prior, split,
-                                    gt_groups, exclude_classes=excluded)
+                                    gt_groups, exclude_classes=args.exclude or ())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inference.write_predictions(predictions, dataset.vocab, out / "predictions")
@@ -217,45 +214,41 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_REPORT_COLUMNS = [
-    ("global mof", ("global", "mof")),
-    ("global edit", ("global", "edit")),
-    ("global f1@25", ("global", "f1@0.25")),
-    ("recall head", ("balanced", "recall", "head")),
-    ("recall tail", ("balanced", "recall", "tail")),
-    ("recall hmean", ("balanced", "recall", "hmean")),
-    ("f1@25 hmean", ("balanced", "f1@0.25", "hmean")),
-]
-
-
-def _report_value(payload: dict, path: tuple[str, ...], kind, ctx: str):
-    """The value at ``path`` in a metrics report, each level read by ``typed``."""
-    for depth, key in enumerate(path, 1):
-        payload = typed(payload.get(key, MISSING), kind if depth == len(path) else dict, ctx,
-                        ".".join(path[:depth]))
-    return payload
+_REPORT_COLUMNS = {  # label: the column's value in a metrics report
+    "global mof": lambda r: r.global_metrics["mof"],
+    "global edit": lambda r: r.global_metrics["edit"],
+    "global f1@25": lambda r: r.global_metrics["f1@0.25"],
+    "recall head": lambda r: r.balanced["recall"]["head"],
+    "recall tail": lambda r: r.balanced["recall"]["tail"],
+    "recall hmean": lambda r: r.balanced["recall"]["hmean"],
+    "f1@25 hmean": lambda r: r.balanced["f1@0.25"]["hmean"],
+}
 
 
 def cmd_report(args) -> int:
     rows = []  # one per report, named by its path as given; the first is the baseline
     for path in args.reports:
         ctx = f"metrics report {path}"
-        payload = read_json(path)
+        report = from_json(metrics.MetricsReport, read_json(path), ctx)
         row = {"name": path}
         base = rows[0] if rows else row
-        for label, keys in _REPORT_COLUMNS:
-            row[label] = _report_value(payload, keys, float, ctx)
-            row[f"delta {label}"] = row[label] - base[label]
-        for key in ("fp1", "fp2", "fp3", "tp"):
-            row[f"fp_taxonomy {key}"] = _report_value(payload, ("fp_taxonomy", key), int, ctx)
+        try:
+            for label, column in _REPORT_COLUMNS.items():
+                row[label] = column(report)
+                row[f"delta {label}"] = row[label] - base[label]
+            for key in ("fp1", "fp2", "fp3", "tp"):
+                label = f"fp_taxonomy {key}"
+                row[label] = report.fp_counts[key]
+        except KeyError as exc:  # a dict field lacks the key a column reads
+            raise FormatError(f"{ctx}: column {label!r}: missing key {exc}") from exc
         rows.append(row)
 
     width = max(len(row["name"]) for row in rows)
-    header = "model".ljust(width) + "".join(f"{label:>16}" for label, _ in _REPORT_COLUMNS)
+    header = "model".ljust(width) + "".join(f"{label:>16}" for label in _REPORT_COLUMNS)
     lines = [header]
     for idx, row in enumerate(rows):
         cells = []
-        for label, _ in _REPORT_COLUMNS:
+        for label in _REPORT_COLUMNS:
             delta = row[f"delta {label}"]
             suffix = "" if idx == 0 else f" ({delta:+.1f})"
             cells.append(f"{row[label]:.1f}{suffix}".rjust(16))

@@ -349,15 +349,18 @@ def _schema(cls) -> dict:
     return {JSON_NAMES.get(f.name, f.name): (f, hints[f.name]) for f in fields(cls)}
 
 
-def from_json(cls, payload: dict, ctx: str, **given):
+def from_json(cls, payload: dict, ctx: str, *, every_key: bool = False, **given):
     """Build dataclass ``cls`` from a JSON object. Each field not in ``given`` is
-    read from its key (the ``JSON_NAMES`` spelling) as its annotated type."""
+    read from its key (the ``JSON_NAMES`` spelling) as its annotated type. With
+    ``every_key``, as for a recorded object, no default stands in for an absent key."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{ctx}: expected a JSON object, got {payload!r}")
     schema = _schema(cls)
-    unknown = payload.keys() - (schema.keys() - {JSON_NAMES.get(name, name) for name in given})
-    if unknown:
+    keys = schema.keys() - {JSON_NAMES.get(name, name) for name in given}
+    if unknown := payload.keys() - keys:
         raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
+    if every_key and (missing := keys - payload.keys()):
+        raise ConfigError(f"{ctx}: missing key(s) {sorted(missing)}")
     for key, (f, kind) in schema.items():  # a field without a default is required
         if key in payload or (f.name not in given and f.default is MISSING
                               and f.default_factory is MISSING):

@@ -12,7 +12,7 @@ segments are further split into activity-irrelevant (FP1), order-violating
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -157,9 +157,9 @@ def harmonic_mean(head: float, tail: float) -> float:
 
 
 @dataclass(frozen=True)
-class HeadTailSplit:
-    head: frozenset[int]
-    tail: frozenset[int]
+class HeadTailSplit:  # head and tail class names, each sorted, and the split behind them
+    head: tuple[str, ...]
+    tail: tuple[str, ...]
     threshold: float
     imbalance_ratio: float
 
@@ -171,8 +171,9 @@ def head_tail_split(train: Corpus, threshold: float) -> HeadTailSplit:
     counts = np.zeros(len(train.vocab), dtype=np.int64)
     for seq in train.sequences:
         counts += np.bincount(seq.labels, minlength=len(train.vocab))
-    head = frozenset(int(c) for c in np.flatnonzero(counts >= threshold))
-    tail = frozenset(int(c) for c in np.flatnonzero(counts < threshold))
+    names = np.array(train.vocab.names, dtype=object)
+    head = tuple(sorted(names[counts >= threshold]))
+    tail = tuple(sorted(names[counts < threshold]))
     positive = counts[counts > 0]
     if positive.size < len(counts):
         log.warning("classes with zero training frames ignored in the imbalance ratio")
@@ -183,7 +184,7 @@ def head_tail_split(train: Corpus, threshold: float) -> HeadTailSplit:
     return HeadTailSplit(head, tail, float(threshold), ratio)
 
 
-def _split_average(values: dict[int, float], split: HeadTailSplit,
+def _split_average(values: dict[str, float], split: HeadTailSplit,
                    ) -> tuple[float, float, float]:
     head_vals = [v for c, v in values.items() if c in split.head]
     tail_vals = [v for c, v in values.items() if c in split.tail]
@@ -198,17 +199,19 @@ def _split_average(values: dict[int, float], split: HeadTailSplit,
 
 
 def balanced_f1(pred_labels: np.ndarray, gt_labels: np.ndarray, matched: np.ndarray,
-                split: HeadTailSplit) -> tuple[float, float, float, dict[int, float]]:
-    """Per-class segment F1 averaged within the head and tail sets.
+                split: HeadTailSplit, names: Sequence[str],
+                ) -> tuple[float, float, float, dict[str, float]]:
+    """Per-class segment F1, keyed by class name, averaged within the head and tail sets.
 
-    The labels are those of every predicted and GT segment of the corpus and
-    ``matched`` flags the predictions that :func:`match_segments` paired, a maximum
-    matching within each class. Classes with no GT or predicted segment are excluded.
+    The labels are those of every predicted and GT segment of the corpus, label c naming
+    class ``names[c]``, and ``matched`` flags the predictions that :func:`match_segments`
+    paired, a maximum matching within each class. Classes with no GT or predicted segment
+    are excluded.
     """
     width = 1 + int(max(pred_labels.max(initial=-1), gt_labels.max(initial=-1)))
     num_pred, num_gt, tp = (np.bincount(x, minlength=width).tolist()
                             for x in (pred_labels, gt_labels, pred_labels[matched]))
-    per_class = {c: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
+    per_class = {names[c]: f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
                  for c in range(width) if num_pred[c] or num_gt[c]}
     head, tail, hmean = _split_average(per_class, split)
     return head, tail, hmean, per_class
@@ -248,14 +251,6 @@ def group_id_accuracy(pred_groups: Sequence[int], gt_groups: Sequence[int]) -> f
     return 100.0 * hits / len(gt_groups)
 
 
-@dataclass(frozen=True)
-class HeadTailClasses:  # a report's head and tail class names and the split behind them
-    head: tuple[str, ...]
-    tail: tuple[str, ...]
-    imbalance_ratio: float
-    threshold: float
-
-
 @dataclass
 class MetricsReport:
     """The metrics of one evaluation, laid out as ``report.json`` holds them."""
@@ -264,8 +259,8 @@ class MetricsReport:
     balanced: dict[str, dict[str, float]]
     fp_counts: dict[str, int]
     group_id_accuracy: float
-    head_tail: HeadTailClasses
-    per_class: dict[str, dict[str, float]] = field(default_factory=dict)
+    head_tail: HeadTailSplit
+    per_class: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
         return to_json(self)
@@ -277,15 +272,15 @@ class MetricsReport:
 def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
                    spec: GroupSpec, prior: TemporalPrior, split: HeadTailSplit,
                    gt_groups: Sequence[int],
-                   exclude_classes: Sequence[int] = ()) -> MetricsReport:
+                   exclude_classes: Sequence[str] = ()) -> MetricsReport:
     """Assemble the full metric suite for one evaluated corpus.
 
-    ``exclude_classes`` drops classes (e.g. background) from the per-class
-    averages and head/tail sets; global metrics always use every frame.
+    ``exclude_classes`` names classes (e.g. background) to drop from the
+    per-class results and head/tail sets; global metrics always use every frame.
     Global F1, balanced F1 and the FP taxonomy read one matching per IoU
     threshold, computed on one segment table per side.
     """
-    vocab = dataset.vocab
+    names = dataset.vocab.names
     excluded = set(exclude_classes)
     pred_labels = [p.labels for p in predictions]
     gt_labels = [s.labels for s in dataset.sequences]
@@ -293,17 +288,16 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         if p.size != g.size:
             raise ValueError(f"length mismatch: {p.size} vs {g.size}")
     pred, gt = segment_table(pred_labels), segment_table(gt_labels)
-
-    if excluded:
-        split = HeadTailSplit(frozenset(split.head - excluded),
-                              frozenset(split.tail - excluded),
-                              split.threshold, split.imbalance_ratio)
+    # excluded classes are in neither split set, so they never enter the head/tail
+    # averages; the per-class results drop them at the end
+    split = replace(split, head=tuple(c for c in split.head if c not in excluded),
+                    tail=tuple(c for c in split.tail if c not in excluded))
 
     # GT frames and correctly labelled frames per class: MoF pools them,
     # per-class recall divides them class by class.
     g_all, p_all = np.concatenate(gt_labels), np.concatenate(pred_labels)
-    frames = np.bincount(g_all, minlength=len(vocab))
-    hits = np.bincount(g_all[p_all == g_all], minlength=len(vocab))
+    frames = np.bincount(g_all, minlength=len(names))
+    hits = np.bincount(g_all[p_all == g_all], minlength=len(names))
 
     # Equal segment-label lists score exactly 100.0, the DP's value for them.
     cuts = [np.searchsorted(t.seq, np.arange(1, len(gt_labels))) for t in (pred, gt)]
@@ -314,27 +308,20 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
                                for p, g in zip(*label_lists)])),
     }
 
-    recalls = {c: (100.0 * hits[c]) / frames[c]
-               for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
-    head_r, tail_r, hmean_r = _split_average(recalls, split)
-    balanced: dict[str, dict[str, float]] = {
-        "recall": {"head": head_r, "tail": tail_r, "hmean": hmean_r},
-    }
     per_class: dict[str, dict[str, float]] = {
-        "recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())},
+        "recall": {name: (100.0 * hits[c]) / frames[c]
+                   for c, name in enumerate(names) if frames[c] > 0},
     }
+    head_r, tail_r, hmean_r = _split_average(per_class["recall"], split)
+    balanced = {"recall": {"head": head_r, "tail": tail_r, "hmean": hmean_r}}
     matched = {t: m >= 0 for t, m in zip(IOU_THRESHOLDS, _match(pred, gt, IOU_THRESHOLDS))}
     for t in IOU_THRESHOLDS:
         tp = int(matched[t].sum())
         global_metrics[f"f1@{t:.2f}"] = f1_from_counts(
             tp, pred.seq.size - tp, gt.seq.size - tp) * 100.0
-        # excluded classes are in neither split set, so they never enter
-        # the head/tail averages; drop them from the per-class detail only
-        head_f, tail_f, hmean_f, per_c = balanced_f1(pred.label, gt.label, matched[t], split)
+        head_f, tail_f, hmean_f, per_class[f"f1@{t:.2f}"] = balanced_f1(
+            pred.label, gt.label, matched[t], split, names)
         balanced[f"f1@{t:.2f}"] = {"head": head_f, "tail": tail_f, "hmean": hmean_f}
-        per_class[f"f1@{t:.2f}"] = {vocab.name_of(c): v
-                                    for c, v in sorted(per_c.items())
-                                    if c not in excluded}
 
     gid = group_id_accuracy([p.group for p in predictions], list(gt_groups))
     fp_counts = fp_taxonomy(pred, matched[TAXONOMY_IOU], dataset.sequences, spec, prior,
@@ -344,8 +331,7 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
         balanced=balanced,
         fp_counts=fp_counts,
         group_id_accuracy=gid,
-        head_tail=HeadTailClasses(tuple(sorted(vocab.name_of(c) for c in split.head)),
-                                  tuple(sorted(vocab.name_of(c) for c in split.tail)),
-                                  split.imbalance_ratio, split.threshold),
-        per_class=per_class,
+        head_tail=split,
+        per_class={metric: {c: v for c, v in values.items() if c not in excluded}
+                   for metric, values in per_class.items()},
     )

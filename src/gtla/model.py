@@ -273,7 +273,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
             header = parse_json(npz["header"].item())
             if header["version"] != 3:
                 raise ValueError(f"header version {header['version']!r}, not 3")
-            cfg = from_json(BackboneConfig, header["config"], "header: config")
+            cfg = from_json(BackboneConfig, header["config"], "header: config", every_key=True)
             adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
             params, adam = ModelParams(cfg, None), AdamState(cfg, adam_t)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtla import cli, data, losses, model
+from gtla import cli, data, grouping, inference, losses, metrics, model, priors
+from gtla.data.io import from_json, read_json, to_json
+from gtla.errors import FormatError
 
 from conftest import edit_checkpoint_header
 
@@ -297,6 +299,30 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith("error: --exclude") and "'nosuch'" in err
         assert err.count("\n") == 1
+
+    def test_excluded_class_leaves_every_per_class_result(self, tmp_path):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        assert run(eval_argv(out, ckpt, out / "e2") + ["--exclude", "idle"]) == 0
+        kept = read_json(out / "eval" / "report.json")  # without --exclude, idle is scored
+        assert "idle" in kept["per_class"]["recall"] and "idle" in kept["head_tail"]["head"]
+        written = from_json(metrics.MetricsReport, read_json(out / "e2" / "report.json"),
+                            "report")
+        assert written.per_class.keys() == {"recall", "f1@0.10", "f1@0.25", "f1@0.50"}
+        assert all("idle" not in values for values in written.per_class.values())
+        assert "idle" not in written.head_tail.head + written.head_tail.tail
+
+        train, test = (data.load_corpus(out / "corpus" / side / "manifest.json")
+                       for side in ("train", "test"))
+        spec = grouping.load_group_spec(out / "spec.json", test.vocab)
+        params, _, _ = model.load_checkpoint(ckpt)
+        expected = metrics.compute_report(
+            inference.predict_corpus(params, test, spec), test, spec,
+            priors.load_temporal_prior(out / "priors.json", spec, test.vocab),
+            metrics.head_tail_split(train, 40),
+            [spec.nearest_group(s, test.vocab) for s in test.sequences],
+            exclude_classes=("idle",))
+        assert written.to_dict() == expected.to_dict()
 
     @pytest.mark.parametrize("groups", ["cluster:1", "cluster:3"], ids=["too-few", "too-many"])
     def test_spec_of_other_head_sizes_is_one_error_line(self, tmp_path, capsys, groups):
@@ -640,6 +666,23 @@ class TestCheckpointFiles:
         assert capsys.readouterr().err == f"error: {ckpt}: train_config: missing key(s) ['tau']\n"
         assert not (out / "r2").exists()
 
+    def test_header_config_missing_a_key_is_refused(self, tmp_path, capsys):
+        """A backbone field is not filled in from its default: the run's default dropout
+        must not pass for a dropout the checkpoint never recorded."""
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint_header(ckpt, lambda header: header["config"].pop("dropout"))
+        message = (f"{ckpt}: not a checkpoint, or a damaged one (ConfigError: header: config: "
+                   f"missing key(s) ['dropout'])")
+        with pytest.raises(FormatError) as info:
+            model.load_checkpoint(ckpt)
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "r2"),
+                    "--epochs", "2", "--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "r2").exists()
+
     @staticmethod
     def overflowing_run(tmp_path, weight=1e25):
         """A ``run_pipeline`` directory whose spec weights one group by ``weight``: by
@@ -836,50 +879,58 @@ class TestBadFlagValues:
 
 
 class TestReportCommand:
-    """`gtla report` reads every column and count through one checked path."""
+    """`gtla report` reads every report by the ``MetricsReport`` schema."""
 
-    def write_report(self, tmp_path, name="r", edit=lambda payload: None):
-        payload = {
-            "version": 1,
-            "global": {"mof": 80, "edit": 50.5, "f1@0.25": 40.0},
-            "balanced": {"recall": {"head": 90.0, "tail": 10.0, "hmean": 18.0},
-                         "f1@0.25": {"hmean": 12.5}},
-            "fp_taxonomy": {"fp1": 1, "fp2": 2, "fp3": 3, "tp": 4},
-        }
+    @pytest.fixture(scope="class")
+    def report(self):
+        """``compute_report`` of shifted ground truth on a small synthetic corpus."""
+        train, test = data.synth_generate(data.longtail_benchmark_config(
+            seed=0, train_per_activity=3, test_per_activity=2))
+        spec = grouping.build_group_spec(train, grouping.ByActivity())
+        groups = [spec.group_of(s) for s in test.sequences]
+        preds = [inference.Prediction(s.id, k, np.roll(s.labels, 3), np.zeros(spec.n))
+                 for s, k in zip(test.sequences, groups)]
+        return metrics.compute_report(preds, test, spec, priors.extract_priors(train, spec),
+                                      metrics.head_tail_split(train, 300), groups)
+
+    def write_report(self, report, tmp_path, name="r", edit=lambda payload: None):
+        payload = {**json.loads(json.dumps(to_json(report))), "version": 1}
         edit(payload)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         return path
 
-    def test_valid_reports_compare(self, tmp_path, capsys):
-        base = self.write_report(tmp_path, "base")
+    def test_valid_reports_compare(self, report, tmp_path, capsys):
+        base = self.write_report(report, tmp_path, "base", lambda p: p["global"].update(mof=80))
         other = self.write_report(
-            tmp_path, "other", lambda p: p["global"].update(mof=82.5))
+            report, tmp_path, "other", lambda p: p["global"].update(mof=82.5))
         assert run(["report", str(base), str(other), "--out", str(tmp_path / "cmp")]) == 0
         comparison = json.loads((tmp_path / "cmp.json").read_text())
         rows = comparison["rows"]
         assert [row["name"] for row in rows] == [str(base), str(other)]
         assert comparison["baseline"] == str(base)
         assert rows[1]["global mof"] == 82.5 and rows[1]["delta global mof"] == 2.5
-        assert rows[1]["fp_taxonomy tp"] == 4
+        assert rows[1]["fp_taxonomy tp"] == report.fp_counts["tp"]
         assert "82.5 (+2.5)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit, where", [
-        (lambda p: p["global"].pop("edit"), "global.edit"),
-        (lambda p: p["global"].update(mof="x"), "global.mof"),
-        (lambda p: p["global"].update(mof=True), "global.mof"),
-        (lambda p: p["balanced"].update(recall=[1, 2]), "balanced.recall"),
+        (lambda p: p["global"].pop("edit"), "edit"),
+        (lambda p: p["global"].update(mof="x"), "mof"),
+        (lambda p: p["global"].update(mof=True), "mof"),
+        (lambda p: p["balanced"].update(recall=[1, 2]), "recall"),
         (lambda p: p.pop("balanced"), "balanced"),
-        (lambda p: p["fp_taxonomy"].pop("fp2"), "fp_taxonomy.fp2"),
-        (lambda p: p["fp_taxonomy"].update(tp="4"), "fp_taxonomy.tp"),
-        (lambda p: p["fp_taxonomy"].update(tp=4.5), "fp_taxonomy.tp"),
+        (lambda p: p["fp_taxonomy"].pop("fp2"), "fp2"),
+        (lambda p: p["fp_taxonomy"].update(tp="4"), "tp"),
+        (lambda p: p["fp_taxonomy"].update(tp=4.5), "tp"),
         (lambda p: p.update(fp_taxonomy=5), "fp_taxonomy"),
+        (lambda p: p.update(bogus=1), "bogus"),
+        (lambda p: p.pop("head_tail"), "head_tail"),
     ], ids=["missing-column", "column-str", "column-bool", "section-not-object",
             "missing-section", "missing-count", "count-str", "count-float",
-            "counts-not-object"])
-    def test_bad_report_is_one_error_line(self, tmp_path, capsys, edit, where):
-        base = self.write_report(tmp_path, "base")
-        bad = self.write_report(tmp_path, "bad", edit)
+            "counts-not-object", "unknown-key", "missing-head_tail"])
+    def test_bad_report_is_one_error_line(self, report, tmp_path, capsys, edit, where):
+        base = self.write_report(report, tmp_path, "base")
+        bad = self.write_report(report, tmp_path, "bad", edit)
         assert run(["report", str(base), str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: metrics report {bad}") and repr(where) in err

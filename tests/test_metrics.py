@@ -59,18 +59,19 @@ def oracle_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, threshold, sp
             tp[c] = tp.get(c, 0) + t
             fp[c] = fp.get(c, 0) + f
             fn[c] = fn.get(c, 0) + n
-    per_class = {c: metrics.f1_from_counts(tp[c], fp[c], fn[c]) * 100.0 for c in tp}
+    per_class = {str(c): metrics.f1_from_counts(tp[c], fp[c], fn[c]) * 100.0 for c in tp}
     head, tail, hmean = metrics._split_average(per_class, split)
     return head, tail, hmean, per_class
 
 
 def balanced_f1_at(pred, gt, threshold, split):
-    """balanced_f1 on freshly matched segments at one threshold."""
+    """balanced_f1 on freshly matched segments at one threshold, class c named str(c)."""
     matched = [m is not None for p, g in zip(pred, gt)
                for m in metrics.match_segments(p, g, threshold)]
     labels = [np.array([s.label for segs in side for s in segs], dtype=np.int64)
               for side in (pred, gt)]
-    return metrics.balanced_f1(*labels, np.array(matched, dtype=bool), split)
+    names = [str(c) for c in range(1 + max(np.max(x, initial=-1) for x in labels))]
+    return metrics.balanced_f1(*labels, np.array(matched, dtype=bool), split, names)
 
 
 def f1_at(pred_segments, gt_segments, threshold):
@@ -151,14 +152,16 @@ def oracle_matching(candidates, threshold):
     return matches
 
 
-def oracle_report_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, matches_per_seq, split):
+def oracle_report_balanced_f1(pred_segments_per_seq, gt_segments_per_seq, matches_per_seq, split,
+                              vocab):
     tp, num_pred, num_gt = Counter(), Counter(), Counter()
     for preds, gts, matches in zip(pred_segments_per_seq, gt_segments_per_seq,
                                    matches_per_seq, strict=True):
         num_pred.update(s.label for s in preds)
         num_gt.update(s.label for s in gts)
         tp.update(s.label for s, m in zip(preds, matches, strict=True) if m is not None)
-    per_class = {c: metrics.f1_from_counts(tp[c], num_pred[c] - tp[c], num_gt[c] - tp[c]) * 100.0
+    per_class = {vocab.name_of(c): metrics.f1_from_counts(tp[c], num_pred[c] - tp[c],
+                                                          num_gt[c] - tp[c]) * 100.0
                  for c in sorted(num_pred.keys() | num_gt.keys())}
     head, tail, hmean = metrics._split_average(per_class, split)
     return head, tail, hmean, per_class
@@ -190,8 +193,8 @@ def oracle_compute_report(predictions, dataset, spec, prior, split, gt_groups,
     gt_segs = [oracle_segments_from_frames(g) for g in gt_labels]
 
     if excluded:
-        split = metrics.HeadTailSplit(frozenset(split.head - excluded),
-                                      frozenset(split.tail - excluded),
+        split = metrics.HeadTailSplit(tuple(c for c in split.head if c not in excluded),
+                                      tuple(c for c in split.tail if c not in excluded),
                                       split.threshold, split.imbalance_ratio)
 
     frames = np.zeros(len(vocab), dtype=np.int64)
@@ -215,18 +218,16 @@ def oracle_compute_report(predictions, dataset, spec, prior, split, gt_groups,
         global_metrics[f"f1@{t:.2f}"] = metrics.f1_from_counts(tp, num_pred - tp,
                                                                num_gt - tp) * 100.0
 
-    recalls = {c: (100.0 * hits[c]) / frames[c]
-               for c in range(len(vocab)) if frames[c] > 0 and c not in excluded}
+    recalls = {vocab.name_of(c): (100.0 * hits[c]) / frames[c]
+               for c in range(len(vocab)) if frames[c] > 0 and vocab.name_of(c) not in excluded}
     head_r, tail_r, hmean_r = metrics._split_average(recalls, split)
     balanced = {"recall": {"head": head_r, "tail": tail_r, "hmean": hmean_r}}
-    per_class = {"recall": {vocab.name_of(c): v for c, v in sorted(recalls.items())}}
+    per_class = {"recall": recalls}
     for t in metrics.IOU_THRESHOLDS:
         head_f, tail_f, hmean_f, per_c = oracle_report_balanced_f1(pred_segs, gt_segs,
-                                                                   matches[t], split)
+                                                                   matches[t], split, vocab)
         balanced[f"f1@{t:.2f}"] = {"head": head_f, "tail": tail_f, "hmean": hmean_f}
-        per_class[f"f1@{t:.2f}"] = {vocab.name_of(c): v
-                                    for c, v in sorted(per_c.items())
-                                    if c not in excluded}
+        per_class[f"f1@{t:.2f}"] = {c: v for c, v in per_c.items() if c not in excluded}
 
     fp_counts = {"tp": 0, "fp1": 0, "fp2": 0, "fp3": 0}
     for segs, seq_matches, seq, k in zip(pred_segs, matches[metrics.TAXONOMY_IOU],
@@ -241,9 +242,7 @@ def oracle_compute_report(predictions, dataset, spec, prior, split, gt_groups,
         balanced=balanced,
         fp_counts=fp_counts,
         group_id_accuracy=gid,
-        head_tail=metrics.HeadTailClasses(tuple(sorted(vocab.name_of(c) for c in split.head)),
-                                          tuple(sorted(vocab.name_of(c) for c in split.tail)),
-                                          split.imbalance_ratio, split.threshold),
+        head_tail=split,
         per_class=per_class,
     )
 
@@ -278,7 +277,7 @@ def report_of(preds, gts, num_classes=None):
                                  for i, g in enumerate(gts)],
                          [gtla.FeatureMatrix(np.zeros((1, len(g)))) for g in gts])
     spec = gtla.build_group_spec(corpus, gtla.ByActivity())
-    split = metrics.HeadTailSplit(frozenset(range(num_classes)), frozenset(), 1.0, 1.0)
+    split = metrics.HeadTailSplit(vocab.names, (), 1.0, 1.0)
     predictions = [gtla.Prediction(f"s{i}", 0, np.asarray(p), np.zeros(1))
                    for i, p in enumerate(preds)]
     return gtla.compute_report(predictions, corpus, spec, gtla.extract_priors(corpus, spec),
@@ -440,13 +439,13 @@ class TestHeadTailSplit:
 
     def test_basic_split_and_ratio(self):
         split = gtla.head_tail_split(self.corpus({"A": 100, "B": 5}), 50)
-        assert split.head == {0} and split.tail == {1}
+        assert split.head == ("A",) and split.tail == ("B",)
         assert split.imbalance_ratio == pytest.approx(20.0)
 
     def test_all_head_flags_degenerate(self, caplog):
         with caplog.at_level("WARNING"):
             split = gtla.head_tail_split(self.corpus({"A": 100, "B": 90}), 50)
-        assert split.tail == frozenset()
+        assert split.head == ("A", "B") and split.tail == ()
         assert any("tail" in m for m in caplog.messages)
 
     def test_threshold_must_be_positive(self):
@@ -455,12 +454,12 @@ class TestHeadTailSplit:
 
     def test_boundary_is_head(self):
         split = gtla.head_tail_split(self.corpus({"A": 50, "B": 49}), 50)
-        assert split.head == {0} and split.tail == {1}
+        assert split.head == ("A",) and split.tail == ("B",)
 
 
 class TestBalancedF1:
-    def split(self, head, tail):
-        return metrics.HeadTailSplit(frozenset(head), frozenset(tail), 1.0, 1.0)
+    def split(self, head, tail):  # class c is named str(c)
+        return metrics.HeadTailSplit(tuple(map(str, head)), tuple(map(str, tail)), 1.0, 1.0)
 
     def test_never_predicted_tail_is_zero(self):
         gt = [segments_from_frames(np.array([0, 0, 1, 1]))]
@@ -479,7 +478,7 @@ class TestBalancedF1:
         segs = [segments_from_frames(labels)]
         head, tail, hmean, per_class = balanced_f1_at(
             segs, segs, 0.25, self.split({0}, {1, 2}))
-        assert set(per_class) == {0}
+        assert set(per_class) == {"0"}
         assert hmean == head  # empty tail side degenerates to the head value
 
     def test_one_matching_gives_the_per_class_rematching_values(self, rng):
@@ -697,7 +696,8 @@ class TestComputeReport:
                                      random_prediction(rng, s.labels, num_classes),
                                      np.zeros(spec.n))
                      for s, k in zip(seqs, gt_groups)]
-            excluded = tuple(rng.choice(num_classes, size=int(rng.integers(0, 3)), replace=False))
+            excluded = tuple(rng.choice(test.vocab.names, size=int(rng.integers(0, 3)),
+                                        replace=False).tolist())
             args = (preds, test, spec, prior, split, gt_groups, excluded)
             report = gtla.compute_report(*args).to_dict()
             assert json.dumps(report, sort_keys=True) == \
@@ -723,11 +723,10 @@ class TestComputeReport:
 
     def test_exclude_classes_drops_from_averages(self, rng):
         train, test, spec, prior, split = self.build_eval(rng)
-        idle = test.vocab.id_of("idle")
         preds = [gtla.Prediction(s.id, spec.group_of(s), s.labels.copy(), np.zeros(spec.n))
                  for s in test.sequences]
         gt_groups = [spec.group_of(s) for s in test.sequences]
         report = gtla.compute_report(preds, test, spec, prior, split, gt_groups,
-                                     exclude_classes=(idle,))
+                                     exclude_classes=("idle",))
         assert "idle" not in report.per_class["recall"]
         assert "idle" not in report.head_tail.head + report.head_tail.tail

@@ -184,8 +184,10 @@ def synth_generate(cfg: SynthConfig) -> tuple[Corpus, Corpus]:
     return train, test
 
 
-def longtail_benchmark_config(seed: int = 0, *, train_per_activity: int = 20,
-                              test_per_activity: int = 10) -> SynthConfig:
+def longtail_benchmark_config(seed: int = 0, *,
+                              train_per_activity: int = SynthConfig.train_per_activity,
+                              test_per_activity: int = SynthConfig.test_per_activity,
+                              ) -> SynthConfig:
     """Canonical 3-activity, 12-class long-tailed benchmark.
 
     Four classes (the shared bookend plus one long work phase per activity)

@@ -65,7 +65,7 @@ def symmetric_kl(q_i: np.ndarray, q_j: np.ndarray) -> float:
 _LINKAGES = ("average", "complete", "single")
 
 
-def hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "average") -> np.ndarray:
+def hierarchical_cluster(dist: np.ndarray, n: int, linkage: str) -> np.ndarray:
     """Agglomerative clustering on a precomputed distance matrix.
 
     Merges the closest pair (ties broken by lowest indices) until ``n``

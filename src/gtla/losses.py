@@ -77,7 +77,7 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     return _ce(*_log_softmax_exp(logits), np.asarray(labels))
 
 
-def smoothing_loss(log_probs: np.ndarray, clip: float = 4.0) -> tuple[float, np.ndarray]:
+def smoothing_loss(log_probs: np.ndarray, clip: float) -> tuple[float, np.ndarray]:
     """Mean squared clipped log-probability difference between adjacent frames.
 
     Differences above the clip contribute clip**2 with zero gradient. The
@@ -114,9 +114,8 @@ def gtla_adjust(logits: np.ndarray, labels: np.ndarray, prior: GroupPrior,
     class's own, which cancels the margin shift there.
     """
     out = logits.copy()
-    if tau != 0.0:
-        factor = temporal_factor_matrix(labels, prior) if temporal_factor else 1.0
-        out[:prior.num_classes] += tau * (factor * prior.clamped_log_prior()[:, None])
+    factor = temporal_factor_matrix(labels, prior) if temporal_factor else 1.0
+    out[:prior.num_classes] += tau * (factor * prior.clamped_log_prior()[:, None])
     return out
 
 
@@ -125,9 +124,7 @@ def gtla_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: GroupS
               ) -> tuple[float, list[np.ndarray]]:
     """Group-wise classification loss of one training sequence: ``total_loss``
     without the smoothing penalty."""
-    loss, grads, _ = total_loss(logits, labels, k, spec, prior,
-                                replace(cfg, smooth_weight=0.0))
-    return loss, grads
+    return total_loss(logits, labels, k, spec, prior, replace(cfg, smooth_weight=0.0))[:2]
 
 
 def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: GroupSpec,
@@ -139,10 +136,10 @@ def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: Group
     adjusted logits at the sequence's local labels. Every other group:
     eta-weighted cross-entropy toward its ``others`` class. Every group: the
     smoothing penalty on its unadjusted log-softmax, averaged over groups and
-    weighted by ``smooth_weight``. Each head's log-softmax and its exp are
-    computed once and shared by its two terms. The loss is summed target term
-    first, then the ``others`` terms by head index, then smoothing; another
-    order changes its last bit.
+    weighted by ``smooth_weight``. One loop over the heads adds each head's two
+    terms from one log-softmax and its exp. The target term comes before it, so
+    the loss is summed target term first, then the ``others`` terms by head
+    index, then smoothing; another order changes its last bit.
     """
     labels = np.asarray(labels)
     heads = [_log_softmax_exp(s) for s in logits]
@@ -151,24 +148,22 @@ def total_loss(logits: list[np.ndarray], labels: np.ndarray, k: int, spec: Group
         target = _log_softmax_exp(gtla_adjust(logits[k], labels, prior.groups[k], cfg.tau,
                                               temporal_factor=cfg.method == "gtla"))
     alpha = spec.group_weights[k]
-    loss, grad = _ce(*target, labels)
+    loss, target_grad = _ce(*target, labels)
     loss *= alpha
-    grad *= alpha
-    grads = [grad if i == k else None for i in range(spec.n)]
+    target_grad *= alpha
+    grads, smooth_total, scale = [], 0.0, cfg.smooth_weight / spec.n
     for i, (log_p, p) in enumerate(heads):
+        grad = target_grad
         if i != k:
-            term, grads[i] = _ce(log_p, p, spec.others_id(i))
+            term, grad = _ce(log_p, p, spec.others_id(i))
             loss += cfg.eta * term
-            grads[i] *= cfg.eta
-    parts = {"classification": float(loss), "smoothing": 0.0}
-    if cfg.smooth_weight > 0.0:
-        scale = cfg.smooth_weight / spec.n
-        smooth_total = 0.0
-        for (log_p, p), grad in zip(heads, grads):
+            grad *= cfg.eta
+        if cfg.smooth_weight > 0.0:
             term, d_log_p = smoothing_loss(log_p, cfg.smooth_clip)
             smooth_total += term
             d_log_p -= p * np.add.reduce(d_log_p, axis=0, keepdims=True)
             grad += np.multiply(d_log_p, scale, out=d_log_p)
-        parts["smoothing"] = smooth_total / spec.n
-        loss += cfg.smooth_weight * parts["smoothing"]
+        grads.append(grad)
+    parts = {"classification": float(loss), "smoothing": smooth_total / spec.n}
+    loss += cfg.smooth_weight * parts["smoothing"]
     return float(loss), grads, parts

@@ -25,6 +25,10 @@ from .errors import ConfigError, FormatError, TrainingError
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """``seed`` seeds only ``init_params(cfg)`` without a generator. Training draws
+    from the ``init`` substream of ``TrainConfig.seed``, which ``gtla train`` sets
+    equal, so in a run the field is read only by ``--resume``'s config comparison."""
+
     in_dim: int
     hidden: int = 32
     num_layers: int = 6
@@ -90,15 +94,13 @@ class ModelParams:
 
 def init_params(cfg: BackboneConfig, rng: np.random.Generator | None = None,
                 dtype=np.float32) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws in float64, stored in ``dtype``."""
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws in float64, stored in ``dtype``,
+    from ``rng``, or from ``cfg.seed`` when none is given (training passes one)."""
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    fan_in = {"in": cfg.in_dim, "dilated": 3 * cfg.hidden, "proj": cfg.hidden,
-              "head": cfg.hidden}
+    fan_in = {"in": cfg.in_dim, "dilated": 3 * cfg.hidden}  # projections and heads: hidden
     values = {}
     for name, shape, _ in _layout(cfg):
-        kind = name.split(".")[-2]
-        kind = "head" if kind.startswith("head") else kind
-        bound = 1.0 / np.sqrt(fan_in.get(kind, cfg.hidden))
+        bound = 1.0 / np.sqrt(fan_in.get(name.split(".")[-2], cfg.hidden))
         values[name] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(cfg, values, dtype)
 
@@ -229,8 +231,7 @@ class AdamState:
         self._scratch = np.empty((2, self.m.flat.size), dtype)
 
 
-def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState,
-              lr: float = 5e-4) -> None:
+def adam_step(params: ModelParams, grads: FlatTensors, state: AdamState, lr: float) -> None:
     """One Adam update, in place over the flat buffers, per element in the order
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p -= (lr*m_hat) / (sqrt(v_hat) + eps)."""
     g = grads.flat

@@ -117,6 +117,16 @@ class TestSynthCommand:
         assert run(["synth", "--preset", "longtail", "--seed", "1",
                     "--out", str(tmp_path / "p")]) == 0
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        for seed in (0, 5):
+            (tmp_path / str(seed)).mkdir()
+            assert run(["synth", "--config", str(synth_config(tmp_path / str(seed), seed=seed)),
+                        "--out", str(tmp_path / f"seed{seed}")]) == 0
+        assert run(["synth", "--config", str(tmp_path / "0" / "synth.json"), "--seed", "5",
+                    "--out", str(tmp_path / "flag")]) == 0
+        assert tree_digest(tmp_path / "flag") == tree_digest(tmp_path / "seed5")
+        assert tree_digest(tmp_path / "flag") != tree_digest(tmp_path / "seed0")
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         payload = json.loads(synth_config(tmp_path).read_text())
         payload["noise_sgima"] = 1.0  # typo
@@ -480,6 +490,62 @@ def test_damaged_inputs_exit_cleanly(tmp_path, capsys):
                           if line.startswith("error:")]
                 assert (code, len(errors)) in ((0, 0), (1, 1)), (target.name, case, argv[0])
         target.write_bytes(intact)
+
+
+class TestCommandChecks:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("checks")
+        assert run(["synth", "--config", str(synth_config(root)), "--out", str(root / "c")]) == 0
+        manifest = root / "c" / "train" / "manifest.json"
+        (root / "seedless.json").write_text(json.dumps(
+            {"version": 1, "data": {"train_manifest": str(manifest)}}))
+        return root
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--data", "{root}/c/train/manifest.json", "--groups", "cluster:x"],
+         "bad group count in --groups 'cluster:x'"),
+        (["synth", "--preset", "bogus"], "unknown preset 'bogus'"),
+        (["synth"], "synth needs --config or --preset"),
+        (["train", "--config", "{root}/seedless.json"],
+         "run config: a seed is required (field or --seed)"),
+    ], ids=["cluster-count", "unknown-preset", "no-synth-config", "no-seed"])
+    def test_is_one_error_line(self, corpus, tmp_path, capsys, argv, message):
+        dest = tmp_path / "out"
+        assert run([arg.format(root=corpus) for arg in argv] + ["--out", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not dest.exists()
+
+
+class TestTrainBuildsItsGrouping:
+    """A run without spec and priors files writes the ones ``gtla cluster`` and
+    ``gtla priors`` write for its corpus and grouping mode."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("own_grouping")
+        assert run(["synth", "--preset", "longtail", "--seed", "3",
+                    "--out", str(root / "corpus")]) == 0
+        return root / "corpus" / "train" / "manifest.json"
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("activity", []), ("cluster:3", ["--groups", "cluster:3"]),
+    ], ids=["activity-section", "cluster-flag"])
+    def test_files_equal_cluster_and_priors_output(self, corpus, tmp_path, mode, flags):
+        spec, prior = tmp_path / "spec.json", tmp_path / "priors.json"
+        assert run(["cluster", "--data", str(corpus), "--groups", mode, "--out", str(spec)]) == 0
+        assert run(["priors", "--data", str(corpus), "--spec", str(spec),
+                    "--out", str(prior)]) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "version": 1, "seed": 0, "data": {"train_manifest": str(corpus)},
+            "groups": {"mode": "activity"}, "backbone": {"hidden": 4, "layers": 1},
+            "train": {"epochs": 1}}))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(config), "--out", str(out)] + flags) == 0
+        assert (out / "group_spec.json").read_bytes() == spec.read_bytes()
+        assert (out / "priors.json").read_bytes() == prior.read_bytes()
 
 
 class TestVersionedJsonFiles:

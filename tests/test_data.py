@@ -20,6 +20,11 @@ class TestMapping:
         assert vocab.id_of("pour_milk") == 1
         assert vocab.name_of(0) == "SIL"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "mapping.txt"
+        path.write_text("0 SIL\n\n   \n1 pour_milk\n")
+        assert data.load_mapping(path) == data.ClassVocab(("SIL", "pour_milk"))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "mapping.txt"
         path.write_text("")
@@ -342,6 +347,33 @@ class TestSynth:
         with pytest.raises(ConfigError, match=repr(key)):
             tiny_cfg(**{**changes, "durations": durations})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"activities": {}}, "no activities configured"),
+        ({"activities": {"make": data.ActivityGrammar(())}},
+         "activity 'make' has no mandatory actions"),
+        ({"activities": {"make": data.ActivityGrammar(
+            ("start",), (data.OptionalAction("extra", 0.5, ()),))}},
+         "optional 'extra': no insertion gaps declared"),
+        ({"activities": {"make": data.ActivityGrammar(
+            ("start",), (data.OptionalAction("extra", 0.5, (2,)),))}},
+         "optional 'extra': gap outside the grammar"),
+        ({"activities": {"make": data.ActivityGrammar(("start", "ghost"))}},
+         "no duration model for class 'ghost'"),
+        ({"similar_classes": (("act", "ghost"),)},
+         "similar_classes names unknown class 'ghost'"),
+    ], ids=["no-activities", "no-mandatory", "no-gaps", "gap-outside", "no-duration",
+            "unknown-similar-class"])
+    def test_grammar_check_raises(self, changes, message):
+        with pytest.raises(ConfigError) as exc:
+            tiny_cfg(**changes)
+        assert exc.type is ConfigError and str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_smoothing_keeps_a_sequence_shorter_than_the_window(self, frames):
+        values = np.arange(3.0 * frames).reshape(3, frames)
+        smoothed = data.synth._smooth(values)
+        assert np.array_equal(smoothed, values) and smoothed is not values
+
     def test_smoothing_correlates_neighbours(self):
         from gtla.data.synth import _smooth
 
@@ -449,6 +481,21 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match=r"manifest\.json: sequence entry .*repeats id "
                                               r"'train_make_000'"):
             self.load_with_entry(tmp_path, id="train_make_000")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: data.FrameSeq(np.array([], dtype=np.int64)), "labels must be a non-empty 1-D array"),
+    (lambda: data.FeatureMatrix(np.zeros(3)), "features must be a 2-D (dim x frames) array"),
+    (lambda: data.Corpus(data.ClassVocab(("a",)), [data.FrameSeq(np.zeros(2, np.int64))], []),
+     "sequences and features must pair up"),
+    (lambda: data.Corpus(data.ClassVocab(("a",)), [data.FrameSeq(np.zeros(2, np.int64), id="s")],
+                         [data.FeatureMatrix(np.zeros((1, 3)))]),
+     "frame count mismatch for sequence 's'"),
+], ids=["empty-labels", "1-d-features", "unpaired", "frame-mismatch"])
+def test_corpus_construction_check_raises(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value).startswith(message)
 
 
 def test_load_corpus_frame_mismatch_rejected(tmp_path):

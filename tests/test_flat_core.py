@@ -238,7 +238,7 @@ def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
     params = gtla.init_params(backbone(0.0))
     state = gtla.AdamState(params.cfg)
     steps = [random_grads(params, rng) for _ in range(3)]
-    gtla.adam_step(params, steps[0], state)
+    gtla.adam_step(params, steps[0], state, lr=5e-4)
     model.save_checkpoint(tmp_path / "c.ckpt", params, step=1, adam=state)
     loaded, adam, _ = model.load_checkpoint(tmp_path / "c.ckpt")
     assert adam.t == 1
@@ -248,7 +248,7 @@ def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
     ref_params, ref = gtla.ModelParams(loaded.cfg, loaded.values), ref_state(adam)
     buffers = (adam.m.flat, adam.v.flat)
     for grads in steps[1:]:
-        gtla.adam_step(loaded, grads, adam)
+        gtla.adam_step(loaded, grads, adam, lr=5e-4)
         ref_adam_step(ref_params, grads, ref)
     # Updated in place: every named moment is still a view of the same buffer.
     for moment, flat in zip((adam.m, adam.v), buffers):
@@ -263,7 +263,7 @@ def test_adam_adopts_moments_loaded_from_a_checkpoint(tmp_path, rng):
 def test_checkpoint_missing_a_moment_tensor_raises_format_error(tmp_path, rng):
     params = gtla.init_params(backbone(0.0))
     state = gtla.AdamState(params.cfg)
-    gtla.adam_step(params, random_grads(params, rng), state)
+    gtla.adam_step(params, random_grads(params, rng), state, lr=5e-4)
     path = tmp_path / "c.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state)
     edit_checkpoint(path, lambda members: members.pop("v"))
@@ -330,7 +330,7 @@ def test_factor_matrix_matches_reference_with_empty_ordering_sets():
 def test_truncated_checkpoints_raise_format_error(tmp_path, rng):
     params = gtla.init_params(backbone(0.0))
     state = gtla.AdamState(params.cfg)
-    gtla.adam_step(params, random_grads(params, rng), state)
+    gtla.adam_step(params, random_grads(params, rng), state, lr=5e-4)
     path = tmp_path / "full.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state)
     blob = path.read_bytes()

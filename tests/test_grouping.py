@@ -206,7 +206,7 @@ class TestHierarchicalCluster:
     def test_two_blobs_match_brute_force(self, rng):
         for _ in range(10):
             dist, _ = self.blob_distances(rng)
-            assignment = gtla.hierarchical_cluster(dist, 2)
+            assignment = gtla.hierarchical_cluster(dist, 2, "average")
             clusters = ({int(i) for i in np.flatnonzero(assignment == 0)},
                         {int(i) for i in np.flatnonzero(assignment == 1)})
             oracle = brute_force_two_partition(dist)
@@ -221,29 +221,29 @@ class TestHierarchicalCluster:
 
     def test_n_equals_points_gives_singletons(self, rng):
         dist, _ = self.blob_distances(rng)
-        assignment = gtla.hierarchical_cluster(dist, 8)
+        assignment = gtla.hierarchical_cluster(dist, 8, "average")
         assert sorted(assignment.tolist()) == list(range(8))
 
     def test_n_one_gives_single_cluster(self, rng):
         dist, _ = self.blob_distances(rng)
-        assert set(gtla.hierarchical_cluster(dist, 1).tolist()) == {0}
+        assert set(gtla.hierarchical_cluster(dist, 1, "average").tolist()) == {0}
 
     def test_too_many_clusters(self, rng):
         dist, _ = self.blob_distances(rng)
         with pytest.raises(ValueError, match="cannot form"):
-            gtla.hierarchical_cluster(dist, 9)
+            gtla.hierarchical_cluster(dist, 9, "average")
 
     def test_invalid_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
-            gtla.hierarchical_cluster(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
+            gtla.hierarchical_cluster(np.array([[0.0, 1.0], [2.0, 0.0]]), 1, "average")
 
     def test_symmetry_is_checked_without_relative_tolerance(self):
         with pytest.raises(ValueError, match="symmetric"):
-            gtla.hierarchical_cluster(np.array([[0.0, 1.0], [1.000005, 0.0]]), 1)
+            gtla.hierarchical_cluster(np.array([[0.0, 1.0], [1.000005, 0.0]]), 1, "average")
 
     def test_non_finite_matrix(self):
         with pytest.raises(ValueError, match="finite"):
-            gtla.hierarchical_cluster(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1)
+            gtla.hierarchical_cluster(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1, "average")
 
     def test_unknown_linkage_rejected_before_any_merge(self, rng):
         dist, _ = self.blob_distances(rng)
@@ -507,3 +507,23 @@ def test_group_spec_weight_must_be_finite_and_positive(tmp_path, weights, k):
     assert str(exc.value) == (
         f"{path}: group spec: bad value 'nan' for 'group_weights'" if isinstance(weights[k], str)
         else f"{path}: group {k}: weight {float(weights[k])!r} is not finite and > 0")
+
+
+def one_sequence_corpus():
+    return gtla.Corpus(gtla.ClassVocab(("a",)),
+                       [gtla.FrameSeq(np.zeros(2, np.int64), activity="x", id="s")],
+                       [gtla.FeatureMatrix(np.zeros((1, 2)))])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: gtla.hierarchical_cluster(np.zeros((2, 3)), 1, "average"), ValueError,
+     "distance matrix must be square"),
+    (lambda: gtla.hierarchical_cluster(np.eye(2), 1, "average"), ValueError,
+     "distance matrix must have a zero diagonal"),
+    (lambda: gtla.build_group_spec(one_sequence_corpus(), "activity"), ConfigError,
+     "unknown grouping mode 'activity'"),
+], ids=["not-square", "non-zero-diagonal", "unknown-mode"])
+def test_grouping_check_raises(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.type is error and str(exc.value).startswith(message)

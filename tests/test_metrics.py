@@ -585,6 +585,12 @@ class TestGroupIdAccuracy:
     def test_partial(self):
         assert gtla.group_id_accuracy([0, 0, 1, 1], [0, 1, 1, 0]) == 50.0
 
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError) as exc:
+            gtla.group_id_accuracy([0, 1], [0])
+        assert exc.type is ValueError
+        assert str(exc.value).startswith("prediction/ground-truth length mismatch")
+
 
 class TestComputeReport:
     def build_eval(self, rng):

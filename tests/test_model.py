@@ -7,7 +7,7 @@ import pytest
 
 import gtla
 from gtla import data, grouping, losses, model, priors
-from gtla.errors import FormatError, TrainingError
+from gtla.errors import ConfigError, FormatError, TrainingError
 
 from conftest import (edit_checkpoint, edit_checkpoint_header, finite_difference,
                       max_relative_error, tiny_problem)
@@ -183,7 +183,7 @@ def test_adam_zero_gradient_is_noop():
     cfg = small_config()
     params = gtla.init_params(cfg)
     before = gtla.ModelParams(params.cfg, params.values)
-    gtla.adam_step(params, model.FlatTensors(cfg), gtla.AdamState(cfg))
+    gtla.adam_step(params, model.FlatTensors(cfg), gtla.AdamState(cfg), lr=5e-4)
     for name in params.values:
         assert np.array_equal(params.values[name], before.values[name])
 
@@ -207,7 +207,7 @@ def test_adam_rejects_non_finite_gradients():
     grads = model.FlatTensors(cfg)
     grads["in.w"][0, 0] = np.nan
     with pytest.raises(TrainingError, match="in.w"):
-        gtla.adam_step(params, grads, gtla.AdamState(cfg))
+        gtla.adam_step(params, grads, gtla.AdamState(cfg), lr=5e-4)
 
 
 def test_adam_trajectory_is_deterministic(rng):
@@ -220,7 +220,7 @@ def test_adam_trajectory_is_deterministic(rng):
         for _ in range(4):
             grads = model.FlatTensors(cfg)
             grads.flat[...] = step_rng.standard_normal(grads.flat.size)
-            gtla.adam_step(params, grads, state)
+            gtla.adam_step(params, grads, state, lr=5e-4)
         return params
 
     a, b = run(), run()
@@ -234,7 +234,7 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     state = gtla.AdamState(cfg)
     grads = model.FlatTensors(cfg)
     grads.flat[...] = rng.standard_normal(grads.flat.size)
-    gtla.adam_step(params, grads, state)
+    gtla.adam_step(params, grads, state, lr=5e-4)
     path = tmp_path / "model.ckpt"
     model.save_checkpoint(path, params, step=1, adam=state, extra={"note": "x"})
     loaded, adam, extra = model.load_checkpoint(path)
@@ -272,7 +272,7 @@ def _stepped_checkpoint(path, rng):
     params, state = gtla.init_params(cfg), gtla.AdamState(cfg)
     grads = model.FlatTensors(cfg)
     grads.flat[...] = rng.standard_normal(grads.flat.size)
-    gtla.adam_step(params, grads, state)
+    gtla.adam_step(params, grads, state, lr=5e-4)
     model.save_checkpoint(path, params, step=1, adam=state)
     return params, state
 
@@ -504,3 +504,19 @@ def test_loaders_raise_format_error(tmp_path, rng, kind, corrupt):
     corrupt(path)
     with pytest.raises(FormatError, match=str(path)):
         load()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: small_config(groups=()), ConfigError, "every group head needs at least 2 classes"),
+    (lambda: small_config(groups=(4, 1)), ConfigError,
+     "every group head needs at least 2 classes"),
+    (lambda: gtla.forward(np.zeros((3, 5)), gtla.init_params(small_config())), ValueError,
+     "features must be 4 x T, got (3, 5)"),
+    (lambda: gtla.backward(gtla.forward(np.zeros((4, 5)), gtla.init_params(small_config())).tape,
+                           [np.zeros((4, 5))]),
+     ValueError, "one upstream gradient per group head required"),
+], ids=["no-heads", "one-class-head", "feature-dim", "gradient-count"])
+def test_model_check_raises(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.type is error and str(exc.value).startswith(message)

@@ -321,3 +321,24 @@ class TestExtractPriors:
             f"{path}: temporal prior: groups: prior: bad value 'nan' for 'idle'"
             if isinstance(value, str) else
             f"{path}: group 1: prior {float(value)} of class 'idle' is outside [0, 1]")
+
+
+def open_group_prior(num_classes):
+    return priors.GroupPrior(np.full(num_classes, 1.0 / num_classes),
+                             (frozenset(),) * num_classes, (frozenset(),) * num_classes)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: priors.GroupPrior(np.array([0.5, 0.5]), (frozenset({1}), frozenset()),
+                               (frozenset({1}), frozenset())),
+     "class 0: precede/follow sets overlap"),
+    (lambda: priors.GroupPrior(np.array([0.5, 0.5]), (frozenset({0}), frozenset()),
+                               (frozenset(), frozenset())),
+     "class 0: ordering set contains the class itself"),
+    (lambda: priors.temporal_factor_matrix(np.array([0, 2]), open_group_prior(2)),
+     "sequence contains `others` frames"),
+], ids=["precede-follow-overlap", "self-ordering", "others-frames"])
+def test_prior_check_raises(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value).startswith(message)

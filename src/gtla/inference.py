@@ -9,7 +9,6 @@ post-processing are applied at inference time.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .data.io import write_json
 from .errors import ConfigError
 from .grouping import GroupSpec
 from .losses import softmax
-from .model import ModelParams, forward
+from .model import ModelParams, forward, usable_cpus
 
 
 @dataclass
@@ -52,7 +51,7 @@ def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> lis
     if params.cfg.head_sizes != spec.head_sizes():
         raise ConfigError(f"group spec has head sizes {spec.head_sizes()}, "
                           f"model has {params.cfg.head_sizes}")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = usable_cpus()
     ends = np.cumsum([0] + [seq.num_frames for seq in dataset.sequences])
     cuts = np.searchsorted(ends, np.linspace(0, ends[-1], min(cpus, len(dataset)) + 1)).tolist()
     *rest, last = [range(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b] or [range(0)]

@@ -11,7 +11,9 @@ intermediates so backward can produce exact gradients for every parameter.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
+from concurrent.futures import wait
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -123,13 +125,30 @@ class Forward:
     tape: Tape
 
 
-def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
-            dropout_rng: np.random.Generator | None = None) -> Forward:
-    """Run the backbone and all group heads over one sequence.
+def usable_cpus() -> int:
+    """CPUs in this process's affinity mask, or 1 where the platform has none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    Dropout fires when ``dropout_rng`` is given (training) and draws its
-    masks from it; without one the pass is deterministic (evaluation).
-    """
+
+def submit(worker, fn, *args):  # under the caller's numpy error state, which a thread lacks
+    return worker.submit(np.errstate(**np.geterr())(fn), *args)
+
+
+def dropout_masks(cfg: BackboneConfig, rng: np.random.Generator, num_frames: int,
+                  dtype=np.float32) -> np.ndarray | None:
+    """Training's (layers, hidden, T) masks of 0 and 1/keep, or None (no draw) without dropout.
+    One float64 draw for all layers yields the same values as one draw per layer."""
+    if cfg.dropout == 0.0:
+        return None
+    keep, drawn = 1.0 - cfg.dropout, rng.random((cfg.num_layers, cfg.hidden, num_frames))
+    return np.divide(np.less(drawn, keep, out=drawn), keep, out=drawn).astype(dtype, copy=False)
+
+
+def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
+            masks: np.ndarray | None = None) -> Forward:
+    """Run the backbone and all group heads over one sequence. Dropout scales each layer's
+    branch by its entry of ``masks`` (training, from :func:`dropout_masks`); without masks
+    the pass is deterministic (evaluation)."""
     dtype = params.values.flat.dtype
     x = (np.asfortranarray(features.values, dtype=dtype) if isinstance(features, FeatureMatrix)
          else np.asarray(features).astype(dtype, copy=False))
@@ -146,13 +165,7 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
         buf[:, :d] = buf[:, -d:] = 0.0
     inner = [buf[:, d:-d] for d, buf in zip(pads, layer_inputs)] + [None]
     z = np.add(p["in.w"] @ x, p["in.b"][:, None], out=inner[0])
-    layer_relu, layer_masks = [], [None] * cfg.num_layers
-    if dropout_rng is not None and cfg.dropout > 0.0:
-        # One float64 draw for all layers yields the same values as one draw per layer.
-        keep = 1.0 - cfg.dropout
-        drawn = dropout_rng.random((cfg.num_layers, cfg.hidden, num_frames))
-        layer_masks = list(np.divide(np.less(drawn, keep, out=drawn), keep, out=drawn)
-                           .astype(dtype, copy=False))
+    layer_relu, layer_masks = [], [None] * cfg.num_layers if masks is None else list(masks)
     for layer, d in enumerate(pads):
         # width-3 dilated convolution: tap k reads the padded input shifted by k * d
         padded, w = layer_inputs[layer], p[f"layer{layer}.dilated.w"]
@@ -173,50 +186,62 @@ def forward(features: FeatureMatrix | np.ndarray, params: ModelParams,
     return Forward(logits, Tape(params, x, layer_inputs, layer_relu, layer_masks, z))
 
 
-def backward(tape: Tape, d_logits: list[np.ndarray], out: FlatTensors | None = None) -> FlatTensors:
-    """Propagate loss gradients w.r.t. the logits back to every parameter,
-    into ``out`` if given (every tensor is overwritten) or a new buffer."""
-    cfg = tape.params.cfg
-    p = tape.params.values
+def backward(tape: Tape, d_logits: list[np.ndarray], out: FlatTensors | None = None,
+             worker=None) -> FlatTensors:
+    """Propagate loss gradients w.r.t. the logits back to every parameter, into ``out`` if given
+    (every tensor is overwritten) or a new buffer. A ``worker`` executor runs the weight-gradient
+    blocks, same arithmetic; all have ended when this returns, or raises the first failure."""
+    cfg, p = tape.params.cfg, tape.params.values
     if len(d_logits) != len(cfg.head_sizes):
         raise ValueError("one upstream gradient per group head required")
     grads = FlatTensors(cfg, dtype=p.flat.dtype) if out is None else out
+    num_frames, tasks = tape.z.shape[1], []
 
-    d_z = np.zeros_like(tape.z)
-    for i, d_l in enumerate(d_logits):
-        np.matmul(tape.z, d_l.T, out=grads[f"head{i}.w"])
-        np.add.reduce(d_l, axis=1, out=grads[f"head{i}.b"])
-        d_z += p[f"head{i}.w"] @ d_l
+    def run(block, *args):  # on the worker, if any
+        return block(*args) if worker is None else tasks.append(submit(worker, block, *args))
 
-    num_frames = tape.z.shape[1]
-    for layer in reversed(range(cfg.num_layers)):
-        d = 2 ** layer
-        mask = tape.layer_masks[layer]
-        d_branch = d_z if mask is None else d_z * mask
-        relu = tape.layer_relu[layer]
-        np.matmul(d_branch, relu.T, out=grads[f"layer{layer}.proj.w"])
-        np.add.reduce(d_branch, axis=1, out=grads[f"layer{layer}.proj.b"])
-        d_pre = p[f"layer{layer}.proj.w"].T @ d_branch
-        d_pre *= relu > 0.0
-        padded, w = tape.layer_inputs[layer], p[f"layer{layer}.dilated.w"]
+    def linear(name, a, b, d_out):  # the weight's gradient is a @ b, the bias's d_out's row sums
+        np.matmul(a, b, out=grads[f"{name}.w"])
+        np.add.reduce(d_out, axis=1, out=grads[f"{name}.b"])
+
+    def layer_weights(layer, d_branch, relu, d_pre, padded, d):
+        linear(f"layer{layer}.proj", d_branch, relu.T, d_branch)
         d_w = grads[f"layer{layer}.dilated.w"]
         for tap in range(3):
             d_w[:, :, tap] = d_pre @ padded[:, tap * d:tap * d + num_frames].T
         np.add.reduce(d_pre, axis=1, out=grads[f"layer{layer}.dilated.b"])
-        # d_in[:, t] = (P1[:, t] + P0[:, t + d]) + P2[:, t - d], Pk = w[:, :, k].T @ d_pre, each
-        # term where its frame exists (the zero-padded sum's order). The shifted adds run
-        # over the flat row-major arrays; the d columns of P0 and P2 that would wrap into a
-        # neighbouring row (all when T <= d) are zeroed: +0.0 changes no matmul result.
-        d_in = w[:, :, 1].T @ d_pre
-        ahead, behind = w[:, :, 0].T @ d_pre, w[:, :, 2].T @ d_pre
-        ahead[:, :d] = behind[:, -d:] = 0.0
-        flat = d_in.reshape(-1)
-        flat[:-d] += ahead.reshape(-1)[d:]
-        flat[d:] += behind.reshape(-1)[:-d]
-        d_z += d_in
 
-    np.matmul(d_z, tape.x.T, out=grads["in.w"])
-    np.add.reduce(d_z, axis=1, out=grads["in.b"])
+    try:
+        d_z = np.zeros_like(tape.z)
+        for i, d_l in enumerate(d_logits):
+            run(linear, f"head{i}", tape.z, d_l.T, d_l)
+            d_z += p[f"head{i}.w"] @ d_l
+        for layer in reversed(range(cfg.num_layers)):
+            d = 2 ** layer
+            mask = tape.layer_masks[layer]
+            d_branch = d_z.copy() if mask is None else d_z * mask  # not d_z: a block may run late
+            relu = tape.layer_relu[layer]
+            d_pre = p[f"layer{layer}.proj.w"].T @ d_branch
+            d_pre *= relu > 0.0
+            padded, w = tape.layer_inputs[layer], p[f"layer{layer}.dilated.w"]
+            run(layer_weights, layer, d_branch, relu, d_pre, padded, d)
+            # d_in[:, t] = (P1[:, t] + P0[:, t + d]) + P2[:, t - d], Pk = w[:, :, k].T @ d_pre,
+            # each term where its frame exists (the zero-padded sum's order). The shifted adds
+            # run over the flat row-major arrays; the d columns of P0 and P2 that would wrap into
+            # a neighbouring row (all when T <= d) are zeroed: +0.0 changes no matmul result.
+            d_in = w[:, :, 1].T @ d_pre
+            ahead, behind = w[:, :, 0].T @ d_pre, w[:, :, 2].T @ d_pre
+            ahead[:, :d] = behind[:, -d:] = 0.0
+            flat = d_in.reshape(-1)
+            flat[:-d] += ahead.reshape(-1)[d:]
+            flat[d:] += behind.reshape(-1)[:-d]
+            d_z += d_in
+
+        linear("in", d_z, tape.x.T, d_z)
+    finally:
+        wait(tasks)  # no block may still write into out once this returns or raises
+    for task in tasks:
+        task.result()
     return grads
 
 

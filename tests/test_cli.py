@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtla import cli, data, grouping, inference, losses, metrics, model, priors
+from gtla import cli, data, grouping, inference, losses, metrics, model, priors, training
 from gtla.data.io import from_json, read_json, to_json
 from gtla.errors import FormatError
 
@@ -18,6 +18,21 @@ from conftest import edit_checkpoint_header
 
 def run(argv):
     return cli.main(argv)
+
+
+# ``python -c`` source for ``gtla`` with every training step shared with the worker thread,
+# whatever the CPU count; the command line follows it, and BLAS_PINNED joins its environment.
+OVERLAPPED_CLI = ("import sys; from gtla import cli, training; training.OVERLAP_MIN_FRAMES = 0; "
+                  "training.usable_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))")
+BLAS_PINNED = {var: "1" for var in training.BLAS_THREAD_VARS}
+
+
+def overlap_every_step(monkeypatch):
+    """Every training step in this process shares its work with the worker thread."""
+    monkeypatch.setattr(training, "OVERLAP_MIN_FRAMES", 0)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    for var, value in BLAS_PINNED.items():
+        monkeypatch.setenv(var, value)
 
 
 def synth_config(tmp_path, seed=0):
@@ -789,6 +804,55 @@ class TestCheckpointFiles:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 1
         assert result.stderr == "error: epoch 1: Adam v overflowed to non-finite values\n"
+
+    @pytest.mark.parametrize("weight, message", [
+        (1e300, "non-finite gradient in 'in.w' at step 4"),
+        (1e25, "epoch 1: Adam v overflowed to non-finite values")])
+    def test_overlapped_overflow_is_one_error_line_and_no_checkpoint(self, tmp_path, weight,
+                                                                     message):
+        """The worker thread computes under the caller's numpy error state, so under
+        ``-W error::RuntimeWarning`` it raises no warning of its own."""
+        out = self.overflowing_run(tmp_path, weight=weight)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", OVERLAPPED_CLI, "train",
+             "--config", str(out / "run.json"), "--out", str(out / "huge")],
+            capture_output=True, text=True, env={**os.environ, **BLAS_PINNED, "PYTHONPATH": src})
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message}\n"
+        assert not (out / "huge" / "checkpoint.ckpt").exists()
+
+    def test_overlapped_overflowing_adam_moment_in_process(self, tmp_path, capsys, monkeypatch):
+        out = self.overflowing_run(tmp_path)
+        overlap_every_step(monkeypatch)
+        capsys.readouterr()
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "huge")]) == 1
+        assert capsys.readouterr().err == "error: epoch 1: Adam v overflowed to non-finite values\n"
+        assert not (out / "huge" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask")
+    def test_one_cpu_training_starts_no_thread_and_writes_the_same_bytes(self, tmp_path,
+                                                                         monkeypatch):
+        """Serial, overlapped and one-CPU runs (the last with the rule's threshold at 0 and
+        BLAS pinned, so only the affinity mask keeps it serial) write the same checkpoint."""
+        out = run_pipeline(tmp_path, "w")
+        overlap_every_step(monkeypatch)
+        assert run(["train", "--config", str(out / "run.json"), "--out", str(out / "both")]) == 0
+        one_cpu = ("import os, sys, threading; from gtla import cli, training; "
+                   "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                   "training.OVERLAP_MIN_FRAMES = 0; started, start = [], threading.Thread.start; "
+                   "threading.Thread.start = lambda t: (started.append(t), start(t)); "
+                   "code = cli.main(sys.argv[1:]); print(len(started)); sys.exit(code)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", one_cpu, "train", "--config", str(out / "run.json"),
+             "--out", str(out / "one")],
+            capture_output=True, text=True, env={**os.environ, **BLAS_PINNED, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0"
+        serial = (out / "run" / "checkpoint.ckpt").read_bytes()
+        assert (out / "both" / "checkpoint.ckpt").read_bytes() == serial
+        assert (out / "one" / "checkpoint.ckpt").read_bytes() == serial
 
     def test_train_state_list_is_one_error_line(self, tmp_path, capsys):
         out = run_pipeline(tmp_path, "w", epochs=1)

@@ -8,6 +8,8 @@ order, and the references compute in the parameters' dtype as it does, so
 results must be equal bit for bit, not merely close.
 """
 
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -46,9 +48,18 @@ def ref_dilated_conv_backward(x, w, d_out, d):
     return d_w, d_b, d_padded[:, d:d + num_frames]
 
 
-def ref_forward(features, params, dropout_rng=None):
-    """Per-tensor forward in the parameters' dtype, dropout drawn in float64 layer by
-    layer from ``dropout_rng`` if given; the tape is a dict of unpadded layer inputs."""
+def ref_dropout_masks(cfg, rng, num_frames, dtype=np.float32):
+    """Dropout masks drawn in float64 layer by layer, or None without dropout."""
+    if cfg.dropout == 0.0:
+        return None
+    keep = 1.0 - cfg.dropout
+    return [((rng.random((cfg.hidden, num_frames)) < keep) / keep).astype(dtype)
+            for _ in range(cfg.num_layers)]
+
+
+def ref_forward(features, params, masks=None):
+    """Per-tensor forward in the parameters' dtype, each branch scaled by its entry of
+    ``masks`` if given; the tape is a dict of unpadded layer inputs."""
     x = features.values if isinstance(features, gtla.FeatureMatrix) else np.asarray(features)
     x = x.astype(params.values.flat.dtype, copy=False)
     cfg, p = params.cfg, params.values
@@ -61,12 +72,9 @@ def ref_forward(features, params, dropout_rng=None):
         tape["pre"].append(pre)
         branch = p[f"layer{layer}.proj.w"] @ np.maximum(pre, 0.0) \
             + p[f"layer{layer}.proj.b"][:, None]
-        if dropout_rng is not None and cfg.dropout > 0.0:
-            keep = 1.0 - cfg.dropout
-            mask = ((dropout_rng.random(branch.shape) < keep) / keep).astype(branch.dtype)
+        mask = None if masks is None else masks[layer]
+        if mask is not None:
             branch = branch * mask
-        else:
-            mask = None
         tape["masks"].append(mask)
         z = z + branch
     tape["z"] = z
@@ -75,8 +83,9 @@ def ref_forward(features, params, dropout_rng=None):
     return model.Forward(logits, tape)
 
 
-def ref_backward(tape, d_logits, out=None):
-    """Per-tensor backward into fresh arrays; ``out`` (the reusable buffer) is ignored."""
+def ref_backward(tape, d_logits, out=None, worker=None):
+    """Per-tensor backward into fresh arrays; ``out`` (the reusable buffer) and ``worker``
+    are ignored."""
     cfg, p = tape["params"].cfg, tape["params"].values
     grads = {}
     d_z = np.zeros_like(tape["z"])
@@ -141,8 +150,10 @@ def test_forward_and_backward_match_padding_reference(dropout, frames):
     params = gtla.init_params(backbone(dropout), dtype=np.float64)
     data = np.random.default_rng(frames)
     x = data.standard_normal((5, frames))
-    out = gtla.forward(x, params, dropout_rng=np.random.default_rng(1))
-    ref = ref_forward(x, params, dropout_rng=np.random.default_rng(1))
+    out = gtla.forward(x, params, masks=model.dropout_masks(
+        params.cfg, np.random.default_rng(1), frames, np.float64))
+    ref = ref_forward(x, params, masks=ref_dropout_masks(
+        params.cfg, np.random.default_rng(1), frames, np.float64))
     assert np.array_equal(out.tape.z, ref.tape["z"])
     for got, want in zip(out.logits, ref.logits):
         assert np.array_equal(got, want)
@@ -165,7 +176,8 @@ def test_a_training_step_changes_none_of_its_inputs(mode, method):
         local = gtla.relabel_for_group(seq, spec, k)
         features, weights = feats.values.tobytes(), params.values.flat.tobytes()
         out = gtla.forward(feats, params,
-                           dropout_rng=np.random.default_rng(0) if mode == "train" else None)
+                           masks=model.dropout_masks(params.cfg, np.random.default_rng(0),
+                                                     seq.num_frames) if mode == "train" else None)
         logits = [s.tobytes() for s in out.logits]
         _, d_logits, _ = gtla.total_loss(out.logits, local, k, spec, prior, cfg)
         upstream = [g.tobytes() for g in d_logits]
@@ -198,11 +210,64 @@ def test_backward_into_one_buffer_matches_fresh_buffers(dropout, rng):
     grads.flat[...] = np.nan
     for frames in (9, 2):
         out = gtla.forward(rng.standard_normal((5, frames)), params,
-                           dropout_rng=np.random.default_rng(frames))
+                           masks=model.dropout_masks(params.cfg, np.random.default_rng(frames),
+                                                     frames))
         d_logits = [rng.standard_normal(l.shape) for l in out.logits]
         assert gtla.backward(out.tape, d_logits, out=grads) is grads
         assert_tensors_equal(grads, gtla.backward(out.tape, d_logits))
         params.values.flat += 0.01 * grads.flat
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_backward_on_a_worker_matches_and_raises_in_the_caller(dropout, rng):
+    params = gtla.init_params(backbone(dropout))
+    out = gtla.forward(rng.standard_normal((5, 40)), params,
+                       masks=model.dropout_masks(params.cfg, rng, 40))
+    d_logits = [rng.standard_normal(l.shape) for l in out.logits]
+    wrong = model.FlatTensors(replace(params.cfg, head_sizes=(5, 3)))  # head0.w: 5 columns, not 4
+    with ThreadPoolExecutor(1) as worker:
+        assert_tensors_equal(gtla.backward(out.tape, d_logits, worker=worker),
+                             gtla.backward(out.tape, d_logits))
+        for pool in (None, worker):  # the head's block fails inline, then on the worker
+            with pytest.raises(ValueError, match="size 5 is different from 4") as info:
+                gtla.backward(out.tape, d_logits, out=wrong, worker=pool)
+            assert type(info.value) is ValueError
+
+
+class LateWorker:
+    """An executor whose blocks each start late on ``pool``; counts blocks submitted and ended."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted, self.ended = pool, 0, 0
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(0.02)
+            try:
+                return fn(*args)
+            finally:
+                self.ended += 1
+        self.submitted += 1
+        return self.pool.submit(late)
+
+
+@pytest.mark.parametrize("failing", ["block", "caller"])
+def test_backward_raises_only_after_every_block_has_ended(failing, rng):
+    """A failed block, or the caller's own failure, leaves no block writing into ``out``."""
+    params = gtla.init_params(backbone(0.3))
+    out = gtla.forward(rng.standard_normal((5, 40)), params,
+                       masks=model.dropout_masks(params.cfg, rng, 40))
+    d_logits = [rng.standard_normal(l.shape) for l in out.logits]
+    grads = model.FlatTensors(params.cfg)
+    if failing == "block":  # head0's block fails first; the layers' blocks follow it
+        grads = model.FlatTensors(replace(params.cfg, head_sizes=(5, 3)))
+    else:  # head1's upstream gradient is a frame short: the caller's d_z update fails
+        d_logits[1] = d_logits[1][:, 1:]
+    with ThreadPoolExecutor(1) as pool:
+        worker = LateWorker(pool)
+        with pytest.raises(ValueError):
+            gtla.backward(out.tape, d_logits, out=grads, worker=worker)
+        assert worker.submitted >= 2 and worker.ended == worker.submitted
 
 
 def ref_state(state):
@@ -277,6 +342,7 @@ def test_two_epochs_of_training_match_the_reference_path(monkeypatch):
     cfg = losses.TrainConfig(method="gtla", epochs=2, seed=3)
     state = gtla.train_model(corpus, spec, prior, net, cfg)
 
+    monkeypatch.setattr(training, "dropout_masks", ref_dropout_masks)
     monkeypatch.setattr(training, "forward", ref_forward)
     monkeypatch.setattr(training, "backward", ref_backward)
     monkeypatch.setattr(training, "adam_step", ref_adam_step)

@@ -86,7 +86,7 @@ def test_eval_mode_deterministic_and_matches_zero_dropout_train(rng):
     x = rng.standard_normal((4, 11))
     a = gtla.forward(x, params)
     b = gtla.forward(x, params)
-    c = gtla.forward(x, params, dropout_rng=np.random.default_rng(0))
+    c = gtla.forward(x, params, masks=model.dropout_masks(cfg, np.random.default_rng(0), 11))
     for la_, lb, lc in zip(a.logits, b.logits, c.logits):
         assert np.array_equal(la_, lb)
         assert np.array_equal(la_, lc)
@@ -96,7 +96,7 @@ def test_dropout_requires_rng_and_changes_output(rng):
     cfg = small_config(dropout=0.5)
     params = gtla.init_params(cfg)
     x = rng.standard_normal((4, 11))
-    a = gtla.forward(x, params, dropout_rng=np.random.default_rng(0))
+    a = gtla.forward(x, params, masks=model.dropout_masks(cfg, np.random.default_rng(0), 11))
     b = gtla.forward(x, params)
     assert not np.allclose(a.logits[0], b.logits[0])
 
@@ -171,7 +171,9 @@ def test_float32_backward_matches_float64_backward(seed):
         local = gtla.relabel_for_group(seq, spec, k)
         grads = []
         for p in (single, double):
-            out = gtla.forward(feats, p, dropout_rng=np.random.default_rng(i))
+            masks = model.dropout_masks(net, np.random.default_rng(i), seq.num_frames,
+                                        p.values.flat.dtype)
+            out = gtla.forward(feats, p, masks=masks)
             _, d_logits, _ = losses.total_loss(out.logits, local, k, spec, prior, cfg)
             grads.append(gtla.backward(out.tape, d_logits).flat)
         narrow, wide = grads

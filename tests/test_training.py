@@ -1,4 +1,6 @@
 import json
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 import gtla
 from gtla import data, inference, losses, model, priors, training
 from gtla.data.io import from_json, parse_json, read_json, to_json
-from gtla.errors import FormatError
+from gtla.errors import FormatError, TrainingError
 
 
 def small_setup(seed=0, epochs=2):
@@ -142,3 +144,78 @@ def test_to_json_is_the_inverse_of_from_json(tmp_path):
     assert json.loads(json.dumps(to_json(written))) == manifest  # the file is what to_json writes
     assert {"lambda", "delta"} <= to_json(cfg).keys() and "layers" in to_json(backbone)
     assert {"global", "fp_taxonomy", "head_tail"} <= to_json(report).keys()
+
+
+@pytest.fixture
+def overlapped(monkeypatch):
+    """Every training step shares its work with the worker thread, whatever the CPU count.
+    Returns the list that records, per mask draw, whether the main thread made it."""
+    draws, draw = [], training.dropout_masks
+    monkeypatch.setattr(training, "OVERLAP_MIN_FRAMES", 0)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    for var in training.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(training, "dropout_masks", lambda *args: draws.append(
+        threading.current_thread() is threading.main_thread()) or draw(*args))
+    return draws
+
+
+@pytest.mark.parametrize("dropout", [0.25, 0.0])
+@pytest.mark.parametrize("method", ["ce", "la", "gtla"])
+def test_overlapped_training_is_bit_identical_to_serial(monkeypatch, overlapped, method, dropout):
+    """With the rule's threshold at the median length, long and short steps alternate, so
+    the worker and the main thread take turns drawing masks; without dropout, backward
+    reads a copy of d_z rather than the array it goes on to update."""
+    train, _, spec, prior, backbone, _ = small_setup()
+    backbone = replace(backbone, dropout=dropout)
+    cfg = losses.TrainConfig(method=method, epochs=2, seed=6)
+    frames = sorted(seq.num_frames for seq in train.sequences)
+    states = []
+    for threshold in (2 ** 62, frames[len(frames) // 2]):
+        monkeypatch.setattr(training, "OVERLAP_MIN_FRAMES", threshold)
+        overlapped.clear()
+        states.append(gtla.train_model(train, spec, prior, backbone, cfg))
+    assert set(overlapped) == {True, False}
+    serial, overlap = states
+    assert serial.history == overlap.history
+    for a, b in ((serial.params.values, overlap.params.values), (serial.adam.m, overlap.adam.m),
+                 (serial.adam.v, overlap.adam.v)):
+        assert a.flat.tobytes() == b.flat.tobytes()
+    assert serial.rng_payload() == overlap.rng_payload()
+
+
+@pytest.mark.parametrize("var, value", [("OPENBLAS_NUM_THREADS", None), ("OMP_NUM_THREADS", "2"),
+                                        ("MKL_NUM_THREADS", "4")])
+def test_training_stays_serial_unless_blas_is_pinned_to_one_thread(monkeypatch, overlapped, var,
+                                                                   value):
+    """A multi-threaded BLAS already uses the second CPU: with any of its thread variables
+    unset or above 1, the main thread makes every draw and no step reaches the worker."""
+    if value is None:
+        monkeypatch.delenv(var)
+    else:
+        monkeypatch.setenv(var, value)
+    train, _, spec, prior, backbone, cfg = small_setup()
+    gtla.train_model(train, spec, prior, backbone, cfg)
+    assert overlapped and all(overlapped)
+
+
+def test_training_leaves_no_thread_behind(overlapped):
+    train, test, spec, prior, backbone, cfg = small_setup()
+    start = threading.active_count()
+    state = gtla.train_model(train, spec, prior, backbone, cfg)
+    assert False in overlapped  # the worker drew masks
+    assert threading.active_count() == start
+    # One process per CPU predicts; Python 3.12 warns when a fork copies a live thread.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert len(gtla.predict_corpus(state.params, test, spec)) == len(test)
+
+
+def test_a_failed_epoch_leaves_no_thread_behind(overlapped):
+    train, _, spec, prior, backbone, cfg = small_setup()
+    spec = replace(spec, group_weights=(1e300,) * spec.n)  # overflows the float32 gradient
+    start = threading.active_count()
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        gtla.train_model(train, spec, prior, backbone, cfg)
+    assert False in overlapped  # the worker had started
+    assert threading.active_count() == start

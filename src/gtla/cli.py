@@ -50,7 +50,10 @@ def cmd_synth(args) -> int:
             cfg = replace(cfg, seed=args.seed)
     else:
         raise ConfigError("synth needs --config or --preset")
-    train, test = data.synth_generate(cfg)
+    try:
+        train, test = data.synth_generate(cfg)
+    except (ValueError, OverflowError) as exc:  # e.g. features beyond the float32 range
+        raise ConfigError(f"synth config {args.config or args.preset}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_manifest = data.write_corpus(train, out / "train")
@@ -150,7 +153,7 @@ def cmd_train(args) -> int:
             recorded = from_json(losses.TrainConfig, extra.get("train_config"), "train_config",
                                  every_key=True).to_dict()
             state = training.TrainState.restore(params, adam, extra.get("train_state"))
-        except (ConfigError, FormatError) as exc:
+        except FormatError as exc:
             raise FormatError(f"{args.resume}: {exc}") from exc
         changed = [f"{key} {recorded[key]!r} -> {value!r}" for key, value in
                    train_cfg.to_dict().items() if key != "epochs" and recorded[key] != value]

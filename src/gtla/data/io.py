@@ -139,7 +139,7 @@ def load_mapping(path: str | Path) -> ClassVocab:
         if not line:
             continue
         parts = line.split(None, 1)
-        if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
+        if len(parts) != 2 or not parts[0].lstrip("-").isdecimal():
             raise FormatError(f"{path}:{lineno}: expected '<id> <name>', got {raw!r}")
         class_id, name = int(parts[0]), parts[1].strip()
         if class_id in entries:
@@ -393,10 +393,7 @@ class Manifest:
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus described by a manifest written by :func:`write_corpus`."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = from_json(Manifest, read_json(manifest_path), f"{manifest_path}: manifest")
-    except ConfigError as exc:
-        raise FormatError(str(exc)) from exc
+    manifest = from_json(Manifest, read_json(manifest_path), f"{manifest_path}: manifest")
     root = manifest_path.parent
     vocab = load_mapping(root / manifest.mapping)
     sequences, features = [], []

@@ -6,11 +6,11 @@ class GtlaError(Exception):
 
 
 class FormatError(GtlaError):
-    """A file on disk does not match its expected format."""
+    """Bad input: a file, config or flag value the program cannot accept as given."""
 
 
-class ConfigError(GtlaError):
-    """A configuration object or file is invalid."""
+class ConfigError(FormatError):
+    """Bad input that is a configuration value: a field, flag or setting out of its range."""
 
 
 class TrainingError(GtlaError):

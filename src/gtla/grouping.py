@@ -230,19 +230,16 @@ def save_group_spec(path: str | Path, spec: GroupSpec, vocab: ClassVocab) -> Non
 def load_group_spec(path: str | Path, vocab: ClassVocab) -> GroupSpec:
     """A :func:`save_group_spec` file, typed by ``GroupSpec``'s fields; else one FormatError."""
     payload, ctx = read_json(path), f"{path}: group spec"
-    try:
-        names = typed(payload.pop("classes_of_group", MISSING), tuple[tuple[str, ...], ...],
-                      ctx, "classes_of_group")
-        for k, cls in enumerate(names):
-            for i, name in enumerate(cls):
-                if name not in vocab.index:
-                    raise FormatError(f"{path}: group spec names unknown class {name!r}")
-                if name in cls[:i]:  # the head would carry a logit no frame trains
-                    raise FormatError(f"{path}: group spec lists class {name!r} twice in group {k}")
-        spec = from_json(GroupSpec, payload, ctx, classes_of_group=tuple(
-            tuple(vocab.id_of(name) for name in cls) for cls in names))
-    except ConfigError as exc:
-        raise FormatError(str(exc)) from exc
+    names = typed(payload.pop("classes_of_group", MISSING), tuple[tuple[str, ...], ...],
+                  ctx, "classes_of_group")
+    for k, cls in enumerate(names):
+        for i, name in enumerate(cls):
+            if name not in vocab.index:
+                raise FormatError(f"{path}: group spec names unknown class {name!r}")
+            if name in cls[:i]:  # the head would carry a logit no frame trains
+                raise FormatError(f"{path}: group spec lists class {name!r} twice in group {k}")
+    spec = from_json(GroupSpec, payload, ctx, classes_of_group=tuple(
+        tuple(vocab.id_of(name) for name in cls) for cls in names))
     if spec.mode not in ("activity", "cluster"):
         raise FormatError(f"{path}: group spec mode {spec.mode!r} is not 'activity' or 'cluster'")
     if not len(names) == len(spec.group_weights) == spec.n:

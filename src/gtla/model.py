@@ -291,6 +291,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, step: int = 0,
         np.savez(fh, header=np.array(text.encode()), **flats)
 
 
+@np.errstate(over="ignore")  # a member's cast to float32 may overflow to inf, refused below
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
     """Float32 params, Adam state and extra header dict; damage raises one ``FormatError``."""
     with open(path, "rb") as fh:  # closing it releases the archive too
@@ -306,6 +307,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
                 if (stored := npz[name]).shape != flat.shape:  # it would broadcast
                     raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")
                 flat[...] = stored
+                if not np.isfinite(flat).all():  # what save_checkpoint refuses to write
+                    raise ValueError(f"member {name!r} has values that are not finite")
             extra = {**header["extra"], "step": step}
         # flipped zip metadata can raise OSError, NotImplementedError or RuntimeError
         except (zipfile.BadZipFile, EOFError, OSError, RuntimeError, ValueError, KeyError,

@@ -190,7 +190,5 @@ def load_temporal_prior(path: str | Path, spec: GroupSpec,
                            for name in names)
             groups.append(GroupPrior(prior, precede, follow))
         return TemporalPrior(tuple(groups))
-    except ConfigError as exc:
-        raise FormatError(str(exc)) from exc
     except (LookupError, ValueError) as exc:
         raise FormatError(f"{path}: malformed temporal prior: {type(exc).__name__} {exc}") from exc

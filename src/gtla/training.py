@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Corpus
 from .data.io import from_json, to_json
-from .errors import ConfigError, FormatError, TrainingError
+from .errors import FormatError, TrainingError
 from .grouping import GroupSpec, relabel_for_group
 from .losses import TrainConfig, total_loss
 from .model import (
@@ -81,10 +81,7 @@ class TrainState:
     @staticmethod
     def restore(params: ModelParams, adam: AdamState, payload: dict) -> "TrainState":
         """The state ``rng_payload`` recorded, read as a :class:`SavedState`."""
-        try:
-            saved = from_json(SavedState, payload, "train_state")
-        except ConfigError as exc:
-            raise FormatError(str(exc)) from exc
+        saved = from_json(SavedState, payload, "train_state")
         if not np.isfinite(saved.history).all():
             raise FormatError("train_state needs finite numbers as 'history'")
         state = TrainState(params, adam, np.random.default_rng(0), np.random.default_rng(0),

@@ -13,7 +13,7 @@ from gtla import cli, data, grouping, inference, losses, metrics, model, priors,
 from gtla.data.io import from_json, read_json, to_json
 from gtla.errors import FormatError
 
-from conftest import edit_checkpoint_header
+from conftest import edit_checkpoint, edit_checkpoint_header
 
 
 def run(argv):
@@ -219,6 +219,15 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: synth config") and err.count("\n") == 1
         assert f"missing key {path[-1]!r}" in err
+
+    def test_features_beyond_float32_are_one_error_line(self, tmp_path, capsys):
+        cfg = data.longtail_benchmark_config(seed=0, train_per_activity=2, test_per_activity=1)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**to_json(cfg), "version": 1, "noise_sigma": 1e300}))
+        assert run(["synth", "--config", str(path), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (f"error: synth config {path}: features must lie "
+                                           f"within the float32 range (|x| <= 3.4e38)\n")
+        assert not (tmp_path / "c").exists()
 
     def test_config_from_preset_fields_matches_preset(self, tmp_path):
         payload = {"version": 1, **dataclasses.asdict(data.longtail_benchmark_config(seed=3))}
@@ -705,6 +714,17 @@ class TestCheckpointFiles:
         assert capsys.readouterr().err == (f"error: {ckpt}: not a checkpoint, or a damaged one "
                                            f"(ValueError: non-finite number NaN)\n")
         assert not (out / "r2").exists()
+
+    def test_nan_in_checkpoint_params_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint(ckpt, lambda members: members["params"].put(0, np.nan))
+        capsys.readouterr()
+        assert run(eval_argv(out, ckpt, out / "e")) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: not a checkpoint, or a damaged one "
+                                           f"(ValueError: member 'params' has values that are "
+                                           f"not finite)\n")
+        assert not (out / "e").exists()
 
     def test_checkpoint_saved_without_train_config_is_refused(self, tmp_path, capsys):
         """A checkpoint saved through the API without ``extra`` records neither the

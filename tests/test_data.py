@@ -43,6 +43,13 @@ class TestMapping:
         with pytest.raises(FormatError, match="duplicate name"):
             data.load_mapping(path)
 
+    def test_id_in_digits_int_cannot_parse(self, tmp_path):
+        path = tmp_path / "mapping.txt"
+        path.write_text("0 a\n\u00b2 b\n", encoding="utf-8")  # '²'.isdigit() holds
+        with pytest.raises(FormatError) as exc:
+            data.load_mapping(path)
+        assert str(exc.value) == f"{path}:2: expected '<id> <name>', got '\u00b2 b'"
+
     def test_gap_in_ids(self, tmp_path):
         path = tmp_path / "mapping.txt"
         path.write_text("0 a\n2 b\n")
@@ -437,6 +444,12 @@ class TestCorpusIO:
         (tmp_path / "manifest.json").write_text('{"version": 1}')
         with pytest.raises(FormatError, match=r"manifest\.json: manifest: missing key 'mapping'"):
             data.load_corpus(tmp_path / "manifest.json")
+
+    def test_schema_error_is_the_config_error_kind_of_format_error(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"version": 1}')
+        with pytest.raises(FormatError) as exc:
+            data.load_corpus(tmp_path / "manifest.json")
+        assert exc.type is ConfigError and issubclass(ConfigError, FormatError)
 
     @staticmethod
     def load_edited(tmp_path, edit):

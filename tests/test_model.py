@@ -375,6 +375,23 @@ def test_save_checkpoint_refuses_a_buffer_not_finite_in_float32(tmp_path, member
     assert not path.exists()
 
 
+@pytest.mark.parametrize("member, value, dtype", [
+    ("params", np.nan, np.float32), ("m", -np.inf, np.float32), ("v", 1e39, np.float64),
+], ids=["params-nan", "m-inf", "v-beyond-float32"])
+def test_checkpoint_member_not_finite_raises_format_error(tmp_path, rng, member, value, dtype):
+    path = tmp_path / "model.ckpt"
+    _stepped_checkpoint(path, rng)
+
+    def poison(members):
+        members[member] = members[member].astype(dtype)
+        members[member][3] = value
+    edit_checkpoint(path, poison)
+    with pytest.raises(FormatError) as exc:
+        model.load_checkpoint(path)
+    assert str(exc.value) == (f"{path}: not a checkpoint, or a damaged one (ValueError: "
+                              f"member '{member}' has values that are not finite)")
+
+
 def test_flipped_zip_directory_bits_raise_format_error_or_load_intact(tmp_path):
     # The zip directory has no checksum. Each of its bits, flipped, must give
     # one FormatError (zipfile raises BadZipFile, KeyError, OSError,

@@ -32,7 +32,7 @@ from .grouping import (
     relabel_for_group,
     symmetric_kl,
 )
-from .inference import Prediction, predict_corpus
+from .inference import Prediction, decode, predict_corpus
 from .losses import TrainConfig, ce_loss, gtla_adjust, gtla_loss, la_loss, smoothing_loss, total_loss
 from .metrics import (
     HeadTailSplit,

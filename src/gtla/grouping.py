@@ -188,23 +188,26 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpe
 
     One action-frequency row per sequence serves both modes: clustering reads
     the rows, and a group's classes are the nonzero columns of its rows' sum.
+    The rows follow a stable sort by sequence id, so the manifest's order
+    changes no cluster number, tie or centroid bit.
     """
     if not train.sequences:
         raise ConfigError("cannot group an empty training corpus")
-    freqs = np.stack([action_frequency(s, train.vocab) for s in train.sequences])
+    sequences = sorted(train.sequences, key=lambda s: s.id)
+    freqs = np.stack([action_frequency(s, train.vocab) for s in sequences])
     group_of_activity: dict[str, int] = {}
     group_of_sequence: dict[str, int] = {}
     centroids = None
     if isinstance(mode, ByActivity):
-        activities = sorted({seq.activity for seq in train.sequences})
+        activities = sorted({seq.activity for seq in sequences})
         group_of_activity = {a: k for k, a in enumerate(activities)}
-        membership = np.array([group_of_activity[seq.activity] for seq in train.sequences])
+        membership = np.array([group_of_activity[seq.activity] for seq in sequences])
         n = len(activities)
     elif isinstance(mode, ByClustering):
         kl = np.stack([_kl(f, freqs) for f in freqs])  # kl[i, j] = KL(q_i || q_j)
         membership = hierarchical_cluster(0.5 * (kl + kl.T), mode.n, mode.linkage)
         n = mode.n
-        group_of_sequence = dict(zip((s.id for s in train.sequences), membership.tolist()))
+        group_of_sequence = dict(zip((s.id for s in sequences), membership.tolist()))
         centroids = tuple(tuple(freqs[membership == k].mean(axis=0)) for k in range(n))
     else:
         raise ConfigError(f"unknown grouping mode {mode!r}")
@@ -215,7 +218,7 @@ def build_group_spec(train: Corpus, mode: ByActivity | ByClustering) -> GroupSpe
         mode="activity" if isinstance(mode, ByActivity) else "cluster",
         classes_of_group=tuple(tuple(np.flatnonzero(freqs[membership == k].sum(axis=0)).tolist())
                                for k in range(n)),
-        group_weights=tuple(len(train.sequences) / (n * size) for size in sizes),
+        group_weights=tuple(len(sequences) / (n * size) for size in sizes),
         group_of_activity=group_of_activity,
         group_of_sequence=group_of_sequence,
         centroids=centroids,

@@ -30,15 +30,19 @@ class Prediction:
     others_prob: np.ndarray  # mean `others` probability per group
 
 
-def predict_sequence(features, params: ModelParams, spec: GroupSpec,
-                     seq_id: str = "") -> Prediction:
-    """Group and labels of one sequence by the rule above; ties pick the lowest index."""
-    probs = [softmax(s) for s in forward(features, params).logits]
+def decode(logits, spec: GroupSpec, seq_id: str = "") -> Prediction:
+    """Group and labels from one sequence's head logits by the rule above; ties pick the lowest."""
+    probs = [softmax(s) for s in logits]
     others = np.array([p[spec.others_id(i)].mean() for i, p in enumerate(probs)])
     k = int(np.argmin(others))
     local = probs[k][:spec.num_real_classes(k)].argmax(axis=0)
     return Prediction(seq_id, k, np.asarray(spec.classes_of_group[k], dtype=np.int64)[local],
                       others)
+
+
+def predict_sequence(features, params: ModelParams, spec: GroupSpec, seq_id: str = "") -> Prediction:
+    """``decode`` of the eval-mode ``forward`` logits."""
+    return decode(forward(features, params).logits, spec, seq_id)
 
 
 def predict_corpus(params: ModelParams, dataset: Corpus, spec: GroupSpec) -> list[Prediction]:

@@ -299,13 +299,11 @@ def compute_report(predictions: Sequence[Prediction], dataset: Corpus,
     frames = np.bincount(g_all, minlength=len(names))
     hits = np.bincount(g_all[p_all == g_all], minlength=len(names))
 
-    # Equal segment-label lists score exactly 100.0, the DP's value for them.
     cuts = [np.searchsorted(t.seq, np.arange(1, len(gt_labels))) for t in (pred, gt)]
     label_lists = [[a.tolist() for a in np.split(t.label, cut)] for t, cut in zip((pred, gt), cuts)]
     global_metrics: dict[str, float] = {
         "mof": 100.0 * int(hits.sum()) / int(frames.sum()),
-        "edit": float(np.mean([edit_score(p, g) if p != g else 100.0
-                               for p, g in zip(*label_lists)])),
+        "edit": float(np.mean([edit_score(p, g) for p, g in zip(*label_lists)])),
     }
 
     per_class: dict[str, dict[str, float]] = {

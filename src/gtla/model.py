@@ -304,7 +304,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, AdamState, dict]:
             adam_t, step = (typed(header[key], int, "header", key) for key in ("adam_t", "step"))
             params, adam = ModelParams(cfg, None), AdamState(cfg, adam_t)
             for name, flat in (("params", params.values.flat), ("m", adam.m.flat), ("v", adam.v.flat)):
-                if (stored := npz[name]).shape != flat.shape:  # it would broadcast
+                if (stored := npz[name]).dtype.kind != "f":  # complex, int or bool would cast
+                    raise ValueError(f"member {name!r} has dtype {stored.dtype}, not a float")
+                if stored.shape != flat.shape:  # it would broadcast
                     raise ValueError(f"member {name!r} has shape {stored.shape}, not {flat.shape}")
                 flat[...] = stored
                 if not np.isfinite(flat).all():  # what save_checkpoint refuses to write

@@ -726,6 +726,18 @@ class TestCheckpointFiles:
                                            f"not finite)\n")
         assert not (out / "e").exists()
 
+    def test_complex_checkpoint_params_is_one_error_line(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path, "w", epochs=1)
+        ckpt = out / "run" / "checkpoint.ckpt"
+        edit_checkpoint(ckpt, lambda members: members.update(
+            params=members["params"].astype(np.complex64) * 1j))
+        capsys.readouterr()
+        assert run(eval_argv(out, ckpt, out / "e")) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: not a checkpoint, or a damaged one "
+                                           f"(ValueError: member 'params' has dtype complex64, "
+                                           f"not a float)\n")
+        assert not (out / "e").exists()
+
     def test_checkpoint_saved_without_train_config_is_refused(self, tmp_path, capsys):
         """A checkpoint saved through the API without ``extra`` records neither the
         train config nor the train state, so it cannot be resumed."""

@@ -10,6 +10,7 @@ import pytest
 
 import gtla
 from gtla import grouping
+from gtla.data.io import to_json
 from gtla.errors import ConfigError, FormatError
 
 
@@ -65,38 +66,40 @@ def oracle_hierarchical_cluster(dist: np.ndarray, n: int, linkage: str = "averag
 
 def oracle_build_group_spec(train, mode):
     """Group spec built as the set-up did before frequency rows served the class
-    lists: one ``np.unique`` set per sequence and a size count per group."""
+    lists: one ``np.unique`` set per sequence and a size count per group. It reads
+    the sequences in id order, as the set-up does."""
     vocab = train.vocab
+    sequences = sorted(train.sequences, key=lambda s: s.id)
     if isinstance(mode, gtla.ByActivity):
-        activities = sorted({seq.activity for seq in train.sequences})
+        activities = sorted({seq.activity for seq in sequences})
         group_of_activity = {a: k for k, a in enumerate(activities)}
-        membership = [group_of_activity[seq.activity] for seq in train.sequences]
+        membership = [group_of_activity[seq.activity] for seq in sequences]
         n = len(activities)
         group_of_sequence = {}
         centroids = None
         mode_name = "activity"
     else:
-        freqs = np.stack([gtla.action_frequency(s, vocab) for s in train.sequences])
+        freqs = np.stack([gtla.action_frequency(s, vocab) for s in sequences])
         kl = np.stack([grouping._kl(f, freqs) for f in freqs])  # kl[i, j] = KL(q_i || q_j)
         dist = 0.5 * (kl + kl.T)
         assignment = oracle_hierarchical_cluster(dist, mode.n, mode.linkage)
         membership = [int(a) for a in assignment]
         n = mode.n
         group_of_activity = {}
-        group_of_sequence = {s.id: m for s, m in zip(train.sequences, membership)}
+        group_of_sequence = {s.id: m for s, m in zip(sequences, membership)}
         centroids = tuple(tuple(freqs[assignment == k].mean(axis=0)) for k in range(n))
         mode_name = "cluster"
 
     classes = [set() for _ in range(n)]
     sizes = [0] * n
-    for seq, k in zip(train.sequences, membership):
+    for seq, k in zip(sequences, membership):
         classes[k].update(int(c) for c in np.unique(seq.labels))
         sizes[k] += 1
     if any(size == 0 for size in sizes):
         empty = [k for k, size in enumerate(sizes) if size == 0]
         raise ConfigError(f"empty group(s): {empty}")
 
-    total = len(train.sequences)
+    total = len(sequences)
     weights = tuple(total / (n * size) for size in sizes)
     return grouping.GroupSpec(
         n=n,
@@ -340,7 +343,8 @@ class TestBuildGroupSpec:
 
         monkeypatch.setattr(grouping, "hierarchical_cluster", capture)
         gtla.build_group_spec(corpus, gtla.ByClustering(n=1))
-        freqs = [gtla.action_frequency(s, corpus.vocab) for s in corpus.sequences]
+        freqs = [gtla.action_frequency(s, corpus.vocab)
+                 for s in sorted(corpus.sequences, key=lambda s: s.id)]  # the set-up's order
         expected = np.zeros((len(freqs), len(freqs)))
         for i in range(len(freqs)):
             for j in range(i + 1, len(freqs)):
@@ -381,6 +385,20 @@ class TestBuildGroupSpec:
                 assert spec == expected, (mode, specs)
                 assert [type(w) for w in spec.group_weights] == \
                     [type(w) for w in expected.group_weights]
+
+    @pytest.mark.parametrize("mode", [gtla.ByActivity(), gtla.ByClustering(n=3)],
+                             ids=["activity", "cluster3"])
+    def test_reversed_training_order_gives_the_same_spec_and_priors(self, mode):
+        train, _ = gtla.synth_generate(gtla.longtail_benchmark_config(seed=100))
+        reversed_train = gtla.Corpus(train.vocab, train.sequences[::-1], train.features[::-1])
+        spec = gtla.build_group_spec(train, mode)
+        again = gtla.build_group_spec(reversed_train, mode)
+        assert json.dumps(to_json(again)) == json.dumps(to_json(spec))
+        priors = gtla.extract_priors(train, spec).groups
+        for got, want in zip(gtla.extract_priors(reversed_train, again).groups, priors,
+                             strict=True):
+            assert np.array_equal(got.prior, want.prior)
+            assert (got.must_precede, got.must_follow) == (want.must_precede, want.must_follow)
 
     @pytest.mark.parametrize("mode", [gtla.ByActivity(), gtla.ByClustering(n=1)])
     def test_empty_corpus_rejected(self, mode):

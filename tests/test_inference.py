@@ -9,7 +9,7 @@ import gtla
 from gtla import inference
 from gtla.errors import ConfigError
 
-from conftest import logit_params, tiny_problem
+from conftest import tiny_problem
 
 
 def spec_two_groups():
@@ -22,28 +22,13 @@ def spec_two_groups():
     return gtla.build_group_spec(corpus, gtla.ByActivity()), corpus
 
 
-def predict_logits(logits, spec):
-    """``predict_sequence`` for a model whose heads output exactly ``logits``."""
-    return inference.predict_sequence(np.concatenate(logits),
-                                      logit_params(spec.head_sizes()), spec)
-
-
-def test_logit_params_forward_returns_the_logits(rng):
-    for head_sizes in ((3,), (3, 2), (4, 2, 5)):
-        logits = [rng.standard_normal((size, 7)) * 5 for size in head_sizes]
-        out = gtla.forward(np.concatenate(logits), logit_params(head_sizes)).logits
-        assert len(out) == len(logits)
-        for got, want in zip(out, logits):
-            assert np.array_equal(got, want)
-
-
 class TestIdentifyGroup:
-    """The group rule of ``predict_sequence``: lowest mean ``others`` probability."""
+    """The group rule of ``decode``: lowest mean ``others`` probability."""
 
     def test_single_group(self):
         corpus, spec, _, _ = tiny_problem(np.random.default_rng(3), max_groups=1)
         logits = [np.zeros((spec.head_sizes()[0], 5))]
-        assert predict_logits(logits, spec).group == 0
+        assert inference.decode(logits, spec).group == 0
 
     def test_lowest_others_probability_wins(self):
         spec, _ = spec_two_groups()
@@ -51,9 +36,9 @@ class TestIdentifyGroup:
         g0[spec.others_id(0)] = -5.0  # low others prob
         g1 = np.zeros((2, 4))
         g1[spec.others_id(1)] = +5.0  # high others prob
-        assert predict_logits([g0, g1], spec).group == 0
+        assert inference.decode([g0, g1], spec).group == 0
         g0[spec.others_id(0)] = +9.0
-        assert predict_logits([g0, g1], spec).group == 1
+        assert inference.decode([g0, g1], spec).group == 1
 
     def test_exact_tie_picks_lowest_index(self):
         vocab = gtla.ClassVocab(("a", "b", "c", "d"))
@@ -65,7 +50,7 @@ class TestIdentifyGroup:
         spec = gtla.build_group_spec(corpus, gtla.ByActivity())
         assert spec.head_sizes() == (3, 3)
         logits = [np.zeros((3, 4)), np.zeros((3, 4))]  # identical: exact tie
-        assert predict_logits(logits, spec).group == 0
+        assert inference.decode(logits, spec).group == 0
         # Zeroed heads give both groups the same all-zero logits: an exact tie.
         params = gtla.init_params(gtla.BackboneConfig(in_dim=2, head_sizes=(3, 3)))
         for name in ("head0.w", "head0.b", "head1.w", "head1.b"):
@@ -79,7 +64,7 @@ class TestIdentifyGroup:
         backbone = gtla.BackboneConfig(in_dim=2, head_sizes=spec.head_sizes())
         params = gtla.init_params(backbone, rng)
         features = rng.standard_normal((2, 6))
-        base = predict_logits(gtla.forward(features, params).logits, spec).group
+        base = inference.decode(gtla.forward(features, params).logits, spec).group
         pred = inference.predict_sequence(features, params, spec)
         assert pred.group == base
         # scaling all others probabilities by one positive constant keeps argmin
@@ -99,7 +84,7 @@ class TestIdentifyGroup:
 
 
 class TestDecodeLabels:
-    """The labels of ``predict_sequence``: argmax over the chosen group's real classes."""
+    """The labels of ``decode``: argmax over the chosen group's real classes."""
 
     def test_others_excluded_even_if_max(self):
         spec, _ = spec_two_groups()
@@ -108,7 +93,7 @@ class TestDecodeLabels:
         logits[1, :] = 1.0                # best real class is local 1
         g1 = np.zeros((2, 4))
         g1[spec.others_id(1)] = 20.0      # so group 0 is chosen
-        pred = predict_logits([logits, g1], spec)
+        pred = inference.decode([logits, g1], spec)
         assert pred.group == 0
         mapping = spec.classes_of_group[0]
         assert pred.labels.tolist() == [mapping[1]] * 4
@@ -117,7 +102,7 @@ class TestDecodeLabels:
         spec, _ = spec_two_groups()
         g0 = np.zeros((3, 3))
         g0[spec.others_id(0)] = 5.0       # so group 1 is chosen
-        pred = predict_logits([g0, np.zeros((2, 3))], spec)
+        pred = inference.decode([g0, np.zeros((2, 3))], spec)
         assert pred.group == 1
         assert pred.labels.tolist() == [spec.classes_of_group[1][0]] * 3
 
@@ -127,14 +112,14 @@ class TestDecodeLabels:
         g1[spec.others_id(1)] = 50.0      # so group 0 is chosen
         for _ in range(30):
             logits = rng.standard_normal((3, 7)) * 3
-            pred = predict_logits([logits, g1], spec)
+            pred = inference.decode([logits, g1], spec)
             assert pred.group == 0
             assert set(pred.labels.tolist()) <= set(spec.classes_of_group[0])
 
     def test_tie_breaks_to_lowest_local_index(self):
         spec, _ = spec_two_groups()
         # all-zero logits: others probability 1/3 in group 0, 1/2 in group 1
-        pred = predict_logits([np.zeros((3, 2)), np.zeros((2, 2))], spec)
+        pred = inference.decode([np.zeros((3, 2)), np.zeros((2, 2))], spec)
         assert pred.group == 0
         assert pred.labels.tolist() == [spec.classes_of_group[0][0]] * 2
 

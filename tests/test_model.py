@@ -392,6 +392,19 @@ def test_checkpoint_member_not_finite_raises_format_error(tmp_path, rng, member,
                               f"member '{member}' has values that are not finite)")
 
 
+@pytest.mark.parametrize("member, dtype", [("params", np.complex64), ("m", np.int32),
+                                           ("v", np.bool_)], ids=["complex64", "int32", "bool"])
+def test_checkpoint_member_not_of_a_float_dtype_raises_format_error(tmp_path, rng, member, dtype):
+    """A complex member would load as its real part, an integer or boolean one silently."""
+    path = tmp_path / "model.ckpt"
+    _stepped_checkpoint(path, rng)
+    edit_checkpoint(path, lambda members: members.update({member: members[member].astype(dtype)}))
+    with pytest.raises(FormatError) as exc:
+        model.load_checkpoint(path)
+    assert str(exc.value) == (f"{path}: not a checkpoint, or a damaged one (ValueError: "
+                              f"member '{member}' has dtype {np.dtype(dtype)}, not a float)")
+
+
 def test_flipped_zip_directory_bits_raise_format_error_or_load_intact(tmp_path):
     # The zip directory has no checksum. Each of its bits, flipped, must give
     # one FormatError (zipfile raises BadZipFile, KeyError, OSError,
